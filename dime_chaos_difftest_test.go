@@ -51,7 +51,7 @@ func TestDifferentialChaosHTTP(t *testing.T) {
 			defer done()
 			for _, c := range difftest.Corpus(n, 0x5E12E) {
 				t.Run(c.Name, func(t *testing.T) {
-					difftest.CheckChaos(t, ctx, tgt, c, 1, 2, 4)
+					difftest.CheckServe(t, ctx, tgt, c, 1, 2, 4)
 				})
 			}
 			if fired := tgt.ServerFaults.Fired(); fired == 0 {

@@ -9,10 +9,12 @@ import (
 
 // TestDifferentialDIMEVariants is the differential harness: across a corpus
 // of seeded random groups (cycling the Scholar, Amazon and DBGen generators
-// at 30–150 entities), DIME, sequential DIME+ and parallel DIME+ must agree
-// on every partition, pivot, scrollbar level and marked partition — and the
-// two DIME+ variants must agree byte-for-byte, stats and witnesses included,
-// at every worker count. Failures log the case seed, so any divergence
+// at 30–150 entities), DIME, sequential DIME+, parallel DIME+ and an
+// incrementally fed Session must agree on every partition, pivot, scrollbar
+// level and marked partition — and the two DIME+ variants must agree
+// byte-for-byte, stats and witnesses included, at every worker count, as
+// must a Session built over the whole group and streaming DIME+. Failures
+// log the case seed, so any divergence
 // reproduces with `-run 'TestDifferentialDIMEVariants/<case-name>'`.
 func TestDifferentialDIMEVariants(t *testing.T) {
 	n := 210

@@ -73,8 +73,9 @@ func fuzzSeedCorpus(f *testing.F) [][]byte {
 
 // FuzzDiffDIMEPlus feeds arbitrary bytes through the corpus decoder and, for
 // every decoded group small enough to brute-force, asserts the differential
-// invariant of internal/difftest: DIME, sequential DIME+ and parallel DIME+
-// (IntraWorkers=3) must agree — the two DIME+ runs byte-for-byte. Inputs the
+// invariant of internal/difftest: DIME, sequential DIME+, parallel DIME+
+// (IntraWorkers=3) and the incremental Session must agree — the two DIME+
+// runs byte-for-byte, as must a whole-group Session and streaming DIME+. Inputs the
 // pipeline legitimately rejects (undecodable corpora, unusable schemas,
 // groups the record compiler refuses) are skipped; only a divergence or a
 // panic fails.

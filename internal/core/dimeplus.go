@@ -5,7 +5,6 @@ import (
 
 	"dime/internal/entity"
 	"dime/internal/obs"
-	"dime/internal/partition"
 	"dime/internal/rules"
 	"dime/internal/signature"
 )
@@ -22,134 +21,14 @@ func DIMEPlus(g *entity.Group, opts Options) (*Result, error) {
 	}
 	run := obs.Start(opts.Probe, "dime+", obs.A("group", g.Name))
 	defer run.End()
-	sp := run.StartSpan(obs.PhaseRecordCompile)
-	recs, err := opts.Config.NewRecords(g)
+	st, err := newStep1(run, g, &opts, true)
 	if err != nil {
-		sp.End()
 		return nil, err
 	}
-	sp.Count("records", int64(len(recs)))
-	sp.End()
-	res := &Result{Group: g, Pivot: -1}
-	n := len(recs)
-	if n == 0 {
-		return res, nil
-	}
-
-	sb := run.StartSpan(obs.PhaseSignatureBuild)
-	ctx := signature.NewContext(opts.Config, recs, opts.Rules)
-	indexes := make([]*signature.PosIndex, len(opts.Rules.Positive))
-	for ri, rule := range opts.Rules.Positive {
-		rsp := sb.StartSpan(obs.PhaseSignatureBuild, obs.A("rule", rule.Name))
-		indexes[ri] = signature.BuildPositive(ctx, rule, recs)
-		rsp.End()
-	}
-	sb.End()
-
-	// Step 1: candidates from the positive-rule signature indexes, verified
-	// under transitivity. Small candidate sets are verified in global
-	// benefit order (Algorithm 2 line 5); past the sort limit the candidates
-	// are verified as they stream off the inverted lists — transitivity
-	// skips the bulk either way and the resulting partitions are identical,
-	// but sorting millions of candidates would cost more than it saves.
-	uf := partition.New(n)
-	perRuleCands := make([]int64, len(opts.Rules.Positive))
-	// Verification runs through posVerifier: inline for one worker, chunked
-	// speculative evaluation + deterministic replay for several. Either way
-	// the skip/verify/union decisions happen in arrival order, so results
-	// and stats are identical for every worker count.
-	pver := newPosVerifier(&opts, recs, uf, &res.Stats, opts.intraWorkers(n))
-	sortLimit := opts.BenefitSortLimit
-	if sortLimit <= 0 {
-		sortLimit = 1 << 15
-	}
-	var cands []posCand
-	sorting := !opts.DisableBenefitOrder
-	// Candidate generation: streaming verification (no benefit sort, or the
-	// sort limit overflowed) interleaves here; its verified counters still
-	// land on the positive-verify span below.
-	cg := run.StartSpan(obs.PhaseCandidateGen)
-	for ri := range indexes {
-		ix := indexes[ri]
-		rule := opts.Rules.Positive[ri]
-		ix.ForEach(func(c signature.Candidate) {
-			res.Stats.PositivePairsConsidered++
-			perRuleCands[ri]++
-			if !sorting {
-				pver.add(posCand{i: int32(c.I), j: int32(c.J), rule: int32(ri)})
-				return
-			}
-			avg := float64(ix.SigCount(c.I)+ix.SigCount(c.J)) / 2
-			if avg < 1 {
-				avg = 1
-			}
-			prob := float64(c.Shared) / avg
-			if prob <= 0 {
-				prob = 1e-6 // wildcard-only candidates still need a rank
-			}
-			cost := rule.Cost(recs[c.I], recs[c.J])
-			if cost < 1 {
-				cost = 1
-			}
-			cands = append(cands, posCand{
-				i: int32(c.I), j: int32(c.J), rule: int32(ri), benefit: prob / cost,
-			})
-			if len(cands) > sortLimit {
-				// Too many to sort profitably: flush what we have in
-				// arrival order and fall back to streaming.
-				sorting = false
-				for _, pc := range cands {
-					pver.add(pc)
-				}
-				cands = nil
-			}
-		})
-	}
-	if !sorting {
-		// Streaming verification belongs to candidate generation; drain the
-		// verifier's last partial chunk before the span closes.
-		pver.flush()
-	}
-	cg.Count("candidates", res.Stats.PositivePairsConsidered)
-	for ri, rule := range opts.Rules.Positive {
-		cg.Count("candidates/"+rule.Name, perRuleCands[ri])
-	}
-	cg.End()
-
-	pv := run.StartSpan(obs.PhasePositiveVerify)
-	if sorting {
-		slices.SortFunc(cands, func(a, b posCand) int {
-			switch {
-			case a.benefit > b.benefit:
-				return -1
-			case a.benefit < b.benefit:
-				return 1
-			case a.i != b.i:
-				return int(a.i) - int(b.i)
-			case a.j != b.j:
-				return int(a.j) - int(b.j)
-			default:
-				return int(a.rule) - int(b.rule)
-			}
-		})
-		for _, pc := range cands {
-			pver.add(pc)
-		}
-		pver.flush()
-	}
-	pv.Count("verified", res.Stats.PositiveVerified)
-	pv.Count("skipped-transitivity", res.Stats.PositiveSkippedByTransitivity)
-	for ri, rule := range opts.Rules.Positive {
-		pv.Count("verified/"+rule.Name, pver.perRuleVerified[ri])
-	}
-	pver.report(pv)
-	pv.End()
-	res.Partitions = uf.Sets()
-
-	// Steps 2 and 3: pivot partition, then the negative rules in sequence
-	// with signature filtering (shared with Session.Result).
-	applyNegativeRules(res, run, ctx, recs, opts)
-	return res, nil
+	// Step 1 verifies candidates in benefit order; steps 2 and 3 pick the
+	// pivot partition and apply the negative rules with signature filtering.
+	st.partition(run, !opts.DisableBenefitOrder)
+	return st.result(run, g), nil
 }
 
 // negCand is one pivot record awaiting verification against a probed entity,

@@ -17,8 +17,8 @@ type survivor struct {
 }
 
 // applyNegativeRules runs pivot selection and the negative-rule sequence
-// (steps 2–3 of Algorithm 2) over res.Partitions; DIMEPlus and
-// Session.Result share it. For each negative rule the partition-level
+// (steps 2–3 of Algorithm 2) over res.Partitions; step1.result runs it for
+// both DIMEPlus and Session.Result. For each negative rule the partition-level
 // signature filter sweeps first (negative-filter phase: partitions whose
 // signature unions are provably disjoint from the pivot's are marked without
 // any verification), then the surviving partitions are probed and verified

@@ -6,8 +6,6 @@ import (
 	"sync"
 
 	"dime/internal/obs"
-	"dime/internal/partition"
-	"dime/internal/rules"
 )
 
 // posChunkPerWorker sizes the speculative-evaluation chunks of the parallel
@@ -63,10 +61,7 @@ type posCand struct {
 // cost is that a pair joined by an earlier candidate of its own chunk was
 // evaluated for nothing (counted as speculative-wasted on the span).
 type posVerifier struct {
-	opts  *Options
-	recs  []*rules.Record
-	uf    *partition.UnionFind
-	stats *Stats
+	st *step1 // records, union–find and stats the verifier reads and updates
 
 	perRuleVerified []int64
 	workers         int
@@ -78,15 +73,12 @@ type posVerifier struct {
 	specWasted     int64   // speculative evaluations discarded at replay
 }
 
-// newPosVerifier builds the verifier; workers should come from
-// opts.intraWorkers.
-func newPosVerifier(opts *Options, recs []*rules.Record, uf *partition.UnionFind, stats *Stats, workers int) *posVerifier {
+// newPosVerifier builds the verifier over st; workers should be 1 or come
+// from opts.intraWorkers.
+func newPosVerifier(st *step1, workers int) *posVerifier {
 	v := &posVerifier{
-		opts:            opts,
-		recs:            recs,
-		uf:              uf,
-		stats:           stats,
-		perRuleVerified: make([]int64, len(opts.Rules.Positive)),
+		st:              st,
+		perRuleVerified: make([]int64, len(st.opts.Rules.Positive)),
 		workers:         workers,
 	}
 	if workers > 1 {
@@ -110,15 +102,15 @@ func (v *posVerifier) add(c posCand) {
 // verifySeq is the historical sequential verification step: transitivity
 // skip, stats, evaluate, union.
 func (v *posVerifier) verifySeq(c posCand) {
-	i, j, ri := int(c.i), int(c.j), int(c.rule)
-	if !v.opts.DisableTransitivitySkip && v.uf.Same(i, j) {
-		v.stats.PositiveSkippedByTransitivity++
+	st, i, j, ri := v.st, int(c.i), int(c.j), int(c.rule)
+	if !st.opts.DisableTransitivitySkip && st.uf.Same(i, j) {
+		st.stats.PositiveSkippedByTransitivity++
 		return
 	}
-	v.stats.PositiveVerified++
+	st.stats.PositiveVerified++
 	v.perRuleVerified[ri]++
-	if v.opts.Rules.Positive[ri].Eval(v.recs[i], v.recs[j]) {
-		v.uf.Union(i, j)
+	if st.opts.Rules.Positive[ri].Eval(st.recs[i], st.recs[j]) {
+		st.uf.Union(i, j)
 	}
 }
 
@@ -134,13 +126,14 @@ func (v *posVerifier) flush() {
 		v.skip = make([]bool, n)
 		v.holds = make([]bool, n)
 	}
+	st := v.st
 	skip, holds := v.skip[:n], v.holds[:n]
 	// Pre-pass on the owning goroutine: union–find reads mutate (path
 	// halving), so workers never touch it. A pair already joined here would
 	// be skipped by the sequential loop too — connectivity only grows — so
 	// its evaluation is never needed.
 	for k, c := range v.buf {
-		skip[k] = !v.opts.DisableTransitivitySkip && v.uf.Same(int(c.i), int(c.j))
+		skip[k] = !st.opts.DisableTransitivitySkip && st.uf.Same(int(c.i), int(c.j))
 		holds[k] = false
 	}
 	// The final partial chunk may be far smaller than a full one; shrink the
@@ -161,7 +154,7 @@ func (v *posVerifier) flush() {
 					continue
 				}
 				c := v.buf[k]
-				holds[k] = v.opts.Rules.Positive[c.rule].Eval(v.recs[c.i], v.recs[c.j])
+				holds[k] = st.opts.Rules.Positive[c.rule].Eval(st.recs[c.i], st.recs[c.j])
 				evals++
 			}
 			v.perWorkerEvals[w] += evals
@@ -172,17 +165,17 @@ func (v *posVerifier) flush() {
 	// sequential loop makes, with the expensive evaluations already in hand.
 	for k, c := range v.buf {
 		i, j, ri := int(c.i), int(c.j), int(c.rule)
-		if !v.opts.DisableTransitivitySkip && v.uf.Same(i, j) {
-			v.stats.PositiveSkippedByTransitivity++
+		if !st.opts.DisableTransitivitySkip && st.uf.Same(i, j) {
+			st.stats.PositiveSkippedByTransitivity++
 			if !skip[k] {
 				v.specWasted++ // joined mid-chunk; its evaluation was discarded
 			}
 			continue
 		}
-		v.stats.PositiveVerified++
+		st.stats.PositiveVerified++
 		v.perRuleVerified[ri]++
 		if holds[k] {
-			v.uf.Union(i, j)
+			st.uf.Union(i, j)
 		}
 	}
 	v.buf = v.buf[:0]

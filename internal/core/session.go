@@ -1,23 +1,18 @@
 package core
 
 import (
-	"fmt"
-	"slices"
-
 	"dime/internal/entity"
 	"dime/internal/obs"
-	"dime/internal/partition"
-	"dime/internal/rules"
-	"dime/internal/signature"
 )
 
 // Session maintains DIME+ state incrementally as a group grows — the
 // natural mode for the paper's motivating applications, where a Scholar
-// page or a product category gains entities over time. Step 1 (the
-// partitioning) is maintained per added entity: only the new entity's
-// candidate pairs are verified against the existing union–find. Steps 2 and
-// 3 (pivot selection and negative rules) depend on global partition sizes,
-// so Result recomputes them on demand.
+// page or a product category gains entities over time. Step 1 runs on
+// DIMEPlus's engine, streaming on one goroutine, and is maintained per added
+// entity: only the new entity's candidate pairs are verified. Steps 2 and 3
+// depend on global partition sizes, so Result recomputes them on demand.
+// Over a whole group a session returns exactly — stats included — what
+// DIMEPlus returns with IntraWorkers 1 and BenefitSortLimit 1.
 //
 // Correctness note: the signature context freezes its token/gram orderings
 // and ontology depth floors at construction. Orderings stay valid for any
@@ -26,13 +21,9 @@ import (
 // case the session transparently rebuilds from scratch (Add reports whether
 // it did).
 type Session struct {
-	opts    Options
-	group   *entity.Group
-	recs    []*rules.Record
-	ctx     *signature.Context
-	indexes []*signature.PosIndex
-	uf      *partition.UnionFind
-	stats   Stats
+	opts  Options
+	group *entity.Group
+	st    *step1
 }
 
 // NewSession runs the initial partitioning over the group and returns a
@@ -49,60 +40,22 @@ func NewSession(g *entity.Group, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// rebuild constructs the full step-1 state from the current group contents.
+// rebuild constructs the step-1 state from the current group contents and
+// partitions it streaming, on the calling goroutine. Stats carry over, so
+// they count all the work the session has done.
 func (s *Session) rebuild() error {
 	run := obs.Start(s.opts.Probe, "session-rebuild", obs.A("group", s.group.Name))
 	defer run.End()
-	sp := run.StartSpan(obs.PhaseRecordCompile)
-	recs, err := s.opts.Config.NewRecords(s.group)
+	st, err := newStep1(run, s.group, &s.opts, false)
 	if err != nil {
-		sp.End()
 		return err
 	}
-	sp.Count("records", int64(len(recs)))
-	sp.End()
-	s.recs = recs
-	sb := run.StartSpan(obs.PhaseSignatureBuild)
-	s.ctx = signature.NewContext(s.opts.Config, recs, s.opts.Rules)
-	s.uf = partition.New(len(recs))
-	s.indexes = make([]*signature.PosIndex, len(s.opts.Rules.Positive))
-	for ri, rule := range s.opts.Rules.Positive {
-		rsp := sb.StartSpan(obs.PhaseSignatureBuild, obs.A("rule", rule.Name))
-		s.indexes[ri] = signature.BuildPositive(s.ctx, rule, recs)
-		rsp.End()
+	if s.st != nil {
+		st.stats = s.st.stats
 	}
-	sb.End()
-	// The session always verifies streaming, so verification interleaves
-	// with candidate generation here; verified counters land on the
-	// positive-verify span for consistency with DIMEPlus.
-	before := s.stats
-	cg := run.StartSpan(obs.PhaseCandidateGen)
-	for ri := range s.indexes {
-		s.indexes[ri].ForEach(func(c signature.Candidate) {
-			s.verify(c.I, c.J, ri)
-		})
-	}
-	cg.Count("candidates", s.stats.PositivePairsConsidered-before.PositivePairsConsidered)
-	cg.End()
-	pv := run.StartSpan(obs.PhasePositiveVerify)
-	pv.Count("verified", s.stats.PositiveVerified-before.PositiveVerified)
-	pv.Count("skipped-transitivity", s.stats.PositiveSkippedByTransitivity-before.PositiveSkippedByTransitivity)
-	pv.End()
+	st.partition(run, false)
+	s.st = st
 	return nil
-}
-
-// verify checks one candidate pair under one positive rule with the
-// transitivity skip.
-func (s *Session) verify(i, j, rule int) {
-	s.stats.PositivePairsConsidered++
-	if s.uf.Same(i, j) {
-		s.stats.PositiveSkippedByTransitivity++
-		return
-	}
-	s.stats.PositiveVerified++
-	if s.opts.Rules.Positive[rule].Eval(s.recs[i], s.recs[j]) {
-		s.uf.Union(i, j)
-	}
 }
 
 // Add appends one entity to the group and folds it into the partitioning.
@@ -115,67 +68,32 @@ func (s *Session) Add(e *entity.Entity) (rebuilt bool, err error) {
 	}
 	run := obs.Start(s.opts.Probe, "session-add", obs.A("group", s.group.Name), obs.A("entity", e.ID))
 	defer run.End()
-	sp := run.StartSpan(obs.PhaseRecordCompile)
-	rec, err := s.opts.Config.NewRecord(e)
+	added, err := s.st.add(run, e)
 	if err != nil {
-		sp.End()
 		// Roll the group back so the session stays consistent.
 		s.group.Entities = s.group.Entities[:len(s.group.Entities)-1]
-		return false, fmt.Errorf("core: compiling %q: %w", e.ID, err)
+		return false, err
 	}
-	sp.End()
-	if !s.ctx.Accepts(rec, s.opts.Rules) {
+	if !added {
 		run.Count("rebuilds", 1)
 		return true, s.rebuild()
 	}
-	rec.Index = len(s.recs)
-	s.recs = append(s.recs, rec)
-	sb := run.StartSpan(obs.PhaseSignatureBuild)
-	s.ctx.Append(rec)
-	sb.End()
-	if got := s.uf.Grow(); got != rec.Index {
-		return false, fmt.Errorf("core: union-find index %d out of sync with record %d", got, rec.Index)
-	}
-	before := s.stats
-	cg := run.StartSpan(obs.PhaseCandidateGen)
-	for ri, ix := range s.indexes {
-		for _, c := range ix.Add(s.ctx, rec) {
-			s.verify(c.I, c.J, ri)
-		}
-	}
-	cg.Count("candidates", s.stats.PositivePairsConsidered-before.PositivePairsConsidered)
-	cg.End()
-	pv := run.StartSpan(obs.PhasePositiveVerify)
-	pv.Count("verified", s.stats.PositiveVerified-before.PositiveVerified)
-	pv.Count("skipped-transitivity", s.stats.PositiveSkippedByTransitivity-before.PositiveSkippedByTransitivity)
-	pv.End()
 	return false, nil
 }
 
 // Size returns the current entity count.
-func (s *Session) Size() int { return len(s.recs) }
+func (s *Session) Size() int { return len(s.st.recs) }
 
 // Result runs pivot selection and the negative rules over the current
 // partitions and returns a full Result, identical to what DIMEPlus would
-// produce on the group from scratch.
+// produce on the group from scratch. It only reads the session, so calls
+// with no Add in between return equal Results.
 func (s *Session) Result() (*Result, error) {
 	run := obs.Start(s.opts.Probe, "session-result", obs.A("group", s.group.Name))
 	defer run.End()
-	res := &Result{Group: s.group, Pivot: -1, Stats: s.stats}
-	if len(s.recs) == 0 {
-		return res, nil
-	}
-	res.Partitions = s.uf.Sets()
-	applyNegativeRules(res, run, s.ctx, s.recs, s.opts)
-	s.stats = res.Stats
-	return res, nil
+	return s.st.result(run, s.group), nil
 }
 
 // Partitions returns the current partitions without running the negative
 // phase (cheap; useful for monitoring as entities stream in).
-func (s *Session) Partitions() [][]int {
-	if s.uf == nil {
-		return nil
-	}
-	return slices.Clone(s.uf.Sets())
-}
+func (s *Session) Partitions() [][]int { return s.st.uf.Sets() }

@@ -170,3 +170,52 @@ func TestSessionStreamLargePage(t *testing.T) {
 		t.Fatalf("incremental %v vs batch %v", incr.Final(), batch.Final())
 	}
 }
+
+// TestSessionResultIsReadOnly: Result only reads the session, so two calls
+// with no Add in between return deep-equal Results — the negative-phase
+// counters are not folded back into the session's stats.
+func TestSessionResultIsReadOnly(t *testing.T) {
+	sess, err := NewSession(fixtures.Figure1Group(), paperOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second Result differs:\n first:  %+v\n second: %+v", first.Stats, second.Stats)
+	}
+}
+
+// TestSessionHonoursDisableTransitivitySkip: the session verifies through the
+// same engine as DIMEPlus, so the ablation switch applies to it too — every
+// candidate is verified and none is skipped.
+func TestSessionHonoursDisableTransitivitySkip(t *testing.T) {
+	opts := paperOptions()
+	opts.DisableTransitivitySkip = true
+	sess, err := NewSession(fixtures.Figure1Group(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.IntraWorkers, opts.BenefitSortLimit = 1, 1
+	want, err := DIMEPlus(fixtures.Figure1Group(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("session stats %+v, DIMEPlus %+v", got.Stats, want.Stats)
+	}
+	if got.Stats.PositiveVerified != 5 || got.Stats.PositiveSkippedByTransitivity != 0 {
+		t.Fatalf("verified %d / skipped %d, want 5 / 0",
+			got.Stats.PositiveVerified, got.Stats.PositiveSkippedByTransitivity)
+	}
+}

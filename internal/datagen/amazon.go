@@ -264,9 +264,13 @@ func (c *AmazonCorpus) Descriptions() [][]string {
 // category node whose vocabulary it overlaps most — the oracle counterpart
 // of the learned LDA mapper, used by tests and as a fast path.
 func (c *AmazonCorpus) TrueMapper() func(values []string) *ontology.Node {
+	// A word may sit in two category vocabularies ("notes": Perfume and
+	// Notebook). The tree's leaves are the categories, sorted by path, so
+	// the later one wins on every construction and equal inputs always map
+	// to equal nodes.
 	vocabNode := make(map[string]*ontology.Node)
-	for cat, node := range c.CategoryNode {
-		for _, w := range categoryVocab[cat] {
+	for _, node := range c.TrueTree.Leaves() {
+		for _, w := range categoryVocab[node.Label] {
 			vocabNode[w] = node
 		}
 	}

@@ -122,6 +122,31 @@ func TestAmazonTrueMapper(t *testing.T) {
 	}
 }
 
+// TestAmazonTrueMapperDeterministic: independent TrueMapper constructions
+// map every category and theme word to the same node, including words that
+// sit in two category vocabularies.
+func TestAmazonTrueMapperDeterministic(t *testing.T) {
+	c := Amazon(AmazonOptions{ProductsPerCategory: 2, Seed: 1})
+	var words []string
+	for _, vocab := range []map[string][]string{categoryVocab, themeVocab} {
+		for _, ws := range vocab {
+			words = append(words, ws...)
+		}
+	}
+	want := c.TrueMapper()
+	for round := 0; round < 20; round++ {
+		got := c.TrueMapper()
+		for _, w := range words {
+			if g, x := got([]string{w}), want([]string{w}); g != x {
+				t.Fatalf("round %d: %q mapped to %v, then to %v", round, w, x, g)
+			}
+		}
+	}
+	if n := want([]string{"notes"}); n == nil || n.Label != "Notebook" {
+		t.Fatalf(`"notes" mapped to %v, want Notebook`, n)
+	}
+}
+
 func TestDBGenShape(t *testing.T) {
 	g := DBGen(DBGenOptions{NumEntities: 500, ErrorRate: 0.2, Seed: 7})
 	if g.Size() != 500 {

@@ -2,14 +2,16 @@
 // every algorithm variant agrees on them: DIME (Algorithm 1) and DIME+
 // (Algorithm 2) must produce the same partitions, pivot and scrollbar levels,
 // and DIME+ must produce byte-identical results — stats and witnesses
-// included — for every Options.IntraWorkers setting.
+// included — for every Options.IntraWorkers setting and from an incremental
+// core.Session, which runs the same step-1 engine.
 //
 // The package is the differential harness behind dime_difftest_test.go and
 // FuzzDiffDIMEPlus at the repository root: tests build a Corpus of seeded
 // cases (cycling the Scholar, Amazon and DBGen generators of
 // internal/datagen) and run Check over each; fuzzing feeds decoded groups
-// through the same Diff comparison. Failures always carry the case seed so a
-// divergence reproduces from a one-line test filter.
+// through the same Diff comparison. DiffServe (http.go) replays a case over
+// the HTTP API, fault-free or under injected faults. Failures always carry
+// the case seed so a divergence reproduces from a one-line test filter.
 package difftest
 
 import (
@@ -152,9 +154,9 @@ func Check(t TB, c Case, workers ...int) {
 	}
 }
 
-// Diff runs DIME, sequential DIME+ (IntraWorkers=1), and one parallel DIME+
-// per workers entry over the case, and returns an error describing the first
-// divergence:
+// Diff runs DIME, sequential DIME+ (IntraWorkers=1), one parallel DIME+ per
+// workers entry, and two incremental sessions over the case, and returns an
+// error describing the first divergence:
 //
 //   - DIME and DIME+ must agree semantically — partitions, pivot, every
 //     scrollbar level, and the marked partitions with their marking rules.
@@ -162,6 +164,11 @@ func Check(t TB, c Case, workers ...int) {
 //   - Sequential and parallel DIME+ must agree exactly — the whole Result,
 //     stats and witnesses included, must be deeply equal for every worker
 //     count.
+//   - A session built over the whole group must agree exactly with
+//     streaming sequential DIME+ (BenefitSortLimit=1): the two share one
+//     step-1 engine.
+//   - A session seeded with two entities and fed the rest through Add must
+//     agree semantically with DIME+; its stats depend on arrival order.
 func (c Case) Diff(workers ...int) error {
 	base := core.Options{Config: c.Config, Rules: c.Rules, Probe: c.Probe}
 	want, err := core.DIME(c.Group, base)
@@ -187,6 +194,51 @@ func (c Case) Diff(workers ...int) error {
 		if err := exactDiff(seq, par); err != nil {
 			return fmt.Errorf("DIME+(sequential) vs DIME+(workers=%d): %w", w, err)
 		}
+	}
+	return c.diffSession(base, seq)
+}
+
+// diffSession checks the two incremental sessions against DIME+.
+func (c Case) diffSession(base core.Options, seq *core.Result) error {
+	whole, err := core.NewSession(c.Group, base)
+	if err != nil {
+		return fmt.Errorf("session(whole): %w", err)
+	}
+	got, err := whole.Result()
+	if err != nil {
+		return fmt.Errorf("session(whole): %w", err)
+	}
+	streamOpts := base
+	streamOpts.IntraWorkers, streamOpts.BenefitSortLimit = 1, 1
+	stream, err := core.DIMEPlus(c.Group, streamOpts)
+	if err != nil {
+		return fmt.Errorf("DIME+(streaming): %w", err)
+	}
+	if err := exactDiff(stream, got); err != nil {
+		return fmt.Errorf("DIME+(streaming) vs session(whole): %w", err)
+	}
+
+	seeded := entity.NewGroup(c.Group.Name, c.Group.Schema)
+	k := min(2, len(c.Group.Entities))
+	for _, e := range c.Group.Entities[:k] {
+		if err := seeded.Add(e); err != nil {
+			return err
+		}
+	}
+	sess, err := core.NewSession(seeded, base)
+	if err != nil {
+		return fmt.Errorf("session(seeded): %w", err)
+	}
+	for _, e := range c.Group.Entities[k:] {
+		if _, err := sess.Add(e); err != nil {
+			return fmt.Errorf("session(seeded): %w", err)
+		}
+	}
+	if got, err = sess.Result(); err != nil {
+		return fmt.Errorf("session(seeded): %w", err)
+	}
+	if err := semanticDiff(seq, got); err != nil {
+		return fmt.Errorf("DIME+(sequential) vs session(seeded): %w", err)
 	}
 	return nil
 }

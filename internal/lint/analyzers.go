@@ -8,7 +8,6 @@ func All() []Analyzer {
 		MapIter{},
 		FloatCmp{},
 		ErrCheck{},
-		Concurrency{},
 		PanicFree{},
 		DeterSafe{},
 		PanicProp{},

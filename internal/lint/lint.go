@@ -2,8 +2,8 @@
 // go/ast + go/types, no x/tools) that enforces DIME's code-level correctness
 // invariants: deterministic result emission, epsilon-safe float threshold
 // comparisons, no silently dropped errors from this module's own functions,
-// lock-copy and goroutine-capture hygiene in fan-out code, and panic-free
-// library paths.
+// and panic-free library paths. Lock-by-value copies are left to go vet's
+// copylocks check.
 //
 // The framework walks every package in the module (see Load), runs each
 // Analyzer over the type-checked syntax, and reports file:line diagnostics.

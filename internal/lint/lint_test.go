@@ -165,46 +165,6 @@ func use() error {
 	expect(t, pkg, ErrCheck{}, 0)
 }
 
-func TestConcurrencyFlagsMutexCopyAndLoopCapture(t *testing.T) {
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-import "sync"
-type state struct{ mu sync.Mutex; n int }
-func byValue(s state) int { return s.n }
-func fanOut(jobs []int) {
-	for i := range jobs {
-		go func() {
-			_ = jobs[i]
-		}()
-	}
-}`)
-	diags := expect(t, pkg, Concurrency{}, 2)
-	if !strings.Contains(diags[0].Message, "sync.Mutex") {
-		t.Errorf("copy finding should name the lock: %s", diags[0].Message)
-	}
-	if !strings.Contains(diags[1].Message, `"i"`) {
-		t.Errorf("capture finding should name the loop variable: %s", diags[1].Message)
-	}
-}
-
-func TestConcurrencyAllowsPointerAndArgumentPassing(t *testing.T) {
-	pkg := fixture(t, "dime/internal/core", "fixture.go", `package core
-import "sync"
-type state struct{ mu sync.Mutex; n int }
-func byPointer(s *state) int { return s.n }
-func fanOut(jobs []int) {
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_ = jobs[i]
-		}(i)
-	}
-	wg.Wait()
-}`)
-	expect(t, pkg, Concurrency{}, 0)
-}
-
 func TestPanicFreeFlagsLibraryPanics(t *testing.T) {
 	pkg := fixture(t, "dime/internal/rules", "fixture.go", `package rules
 func Load(s string) int {

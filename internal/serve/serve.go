@@ -19,16 +19,18 @@
 // Because DIME+ is byte-identical at every IntraWorkers setting and depends
 // only on (group, config, rules), a result fetched over the API is exactly —
 // partitions, pivot, levels, witnesses and Stats — what an in-process
-// Discover/DiscoverAll call on the same entities produces. The HTTP-backed
-// differential runner in internal/difftest and the conformance suite at the
+// Discover/DiscoverAll call on the same entities produces. The one HTTP
+// differential runner in internal/difftest (DiffServe, over internal/client,
+// fault-free and under injected faults) and the conformance suites at the
 // repository root enforce this byte-identity over the seeded 210-group
 // corpus at several worker counts.
 //
 // Ingestion is incremental: each accepted entity folds into the corpus
-// Session, so GET partitions stays cheap while entities stream in; discovery
-// jobs run the full pipeline from scratch for reproducible results (a
-// Session's work counters depend on arrival order, which would leak
-// ingestion history into the served Stats).
+// Session, which runs the same step-1 engine as core.DIMEPlus, so GET
+// partitions stays cheap while entities stream in and matches the partitions
+// a discovery computes. Discovery jobs still run the full pipeline from
+// scratch for reproducible results (a Session's work counters depend on
+// arrival order, which would leak ingestion history into the served Stats).
 //
 // # Workflow
 //

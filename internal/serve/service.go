@@ -335,6 +335,7 @@ func (s *Service) Ingest(id string, req IngestRequest) (IngestResponse, error) {
 			resp.Size = c.sess.Size()
 			return resp, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
+		//lint:ignore heldcall a Session verifies on one worker, so Add never reaches posVerifier's goroutine fan-out and WaitGroup.Wait
 		rebuilt, err := c.sess.Add(e)
 		if err != nil {
 			resp.Size = c.sess.Size()
