@@ -47,7 +47,8 @@ alloc-report:
 check:
 	./scripts/check.sh
 
-# Performance snapshot: BenchmarkDIMEPlus + experiment smoke, written to
+# Performance snapshot: BenchmarkDIMEPlus(Parallel), the internal/sim
+# BenchmarkEditPredicate kernel verdicts and an experiment smoke, written to
 # BENCH_core.json via cmd/benchjson and appended to BENCH_history.jsonl.
 # Override BENCHTIME / BENCH_OUT / BENCH_HISTORY.
 bench:

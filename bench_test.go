@@ -213,14 +213,17 @@ func BenchmarkDIMEPlus(b *testing.B) {
 	})
 }
 
-// BenchmarkDIMEPlusParallel measures the intra-group worker path on a DBGen
-// group, whose eds(Name) positive rule is expensive enough per pair for the
-// speculative-evaluation chunks to matter. The sequential variant pins
-// IntraWorkers=1 (the historical path, and the baseline any refactor must
-// not regress); the parallel variant takes the GOMAXPROCS default. The
-// parallel speedup is hardware-dependent — on a single-core machine the two
-// variants collapse to the same work — and results are byte-identical either
-// way, which the differential harness enforces.
+// BenchmarkDIMEPlusParallel measures the intra-group worker path on a
+// 3000-entity DBGen group (102,192 positive verifications per run). The
+// sequential variant pins IntraWorkers=1 (the historical path, and the
+// baseline any refactor must not regress); the parallel variant takes the
+// GOMAXPROCS default. Since eds(Name) is verified by the threshold-banded,
+// allocation-free kernel, a pair costs a few hundred nanoseconds, and on a
+// 2-core Xeon the two variants measure the same (about 105 ms/op each):
+// the speculative chunks pay off only with more cores or costlier
+// predicates. The speedup is hardware-dependent — on a single-core machine
+// the two variants collapse to the same work — and results are
+// byte-identical either way, which the differential harness enforces.
 func BenchmarkDIMEPlusParallel(b *testing.B) {
 	cfg := presets.DBGenConfig()
 	rs := presets.DBGenRules(cfg)

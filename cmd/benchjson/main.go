@@ -54,12 +54,13 @@ import (
 	"time"
 )
 
-// Result is one benchmark's parsed measurements.
+// Result is one benchmark's parsed measurements. B/op and allocs/op are
+// always written, so an allocation-free benchmark records an explicit 0.
 type Result struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
-	BPerOp      float64            `json:"b_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	BPerOp      float64            `json:"b_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 

@@ -338,4 +338,17 @@ func TestJSONShape(t *testing.T) {
 	if !reflect.DeepEqual(back.Names(), doc.Names()) {
 		t.Fatalf("round trip lost benchmarks: %v vs %v", back.Names(), doc.Names())
 	}
+
+	// An allocation-free benchmark keeps its explicit zeros.
+	zero, err := parse(strings.NewReader("BenchmarkEditPredicate/ge-0.9/typo-2  1000  250.0 ns/op  0 B/op  0 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err = json.Marshal(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"allocs_per_op":0`) || !strings.Contains(string(data), `"b_per_op":0`) {
+		t.Fatalf("zero B/op and allocs/op dropped: %s", data)
+	}
 }

@@ -127,10 +127,12 @@ func (p Predicate) Similarity(a, b *Record) float64 {
 
 // Eval reports whether the predicate holds between two records. EditDist
 // with Op GE/LE compares the raw distance; all other functions compare the
-// similarity value. The GE comparison on EditDist predicates uses the banded
-// verifier when possible.
+// similarity value. Both edit functions verify with the banded kernel:
+// EditSim turns its threshold into the equivalent distance bound, so its
+// verdict equals comparing Similarity against the threshold.
 func (p Predicate) Eval(a, b *Record) bool {
-	if p.Fn == EditDist {
+	switch p.Fn {
+	case EditDist:
 		bound := int(p.Threshold)
 		d, within := sim.EditDistanceBounded(a.Joined[p.Attr], b.Joined[p.Attr], bound)
 		if p.Op == LE {
@@ -138,6 +140,11 @@ func (p Predicate) Eval(a, b *Record) bool {
 		}
 		// GE over a distance: "at least θ edits apart".
 		return !within || d >= bound
+	case EditSim:
+		if p.Op == GE {
+			return sim.EditSimilarityAtLeast(a.Joined[p.Attr], b.Joined[p.Attr], p.Threshold)
+		}
+		return sim.EditSimilarityAtMost(a.Joined[p.Attr], b.Joined[p.Attr], p.Threshold)
 	}
 	s := p.Similarity(a, b)
 	// Epsilon-tolerant comparisons: a similarity that is mathematically equal

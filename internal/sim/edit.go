@@ -1,35 +1,20 @@
 package sim
 
-// EditDistance returns the Levenshtein distance between a and b, computed
-// over runes with the classic two-row dynamic program in O(|a|·|b|) time and
-// O(min(|a|,|b|)) space. Inputs are compared by their rune decoding, so
-// invalid UTF-8 sequences collapse to U+FFFD before comparison (distinct
+import "unicode/utf8"
+
+// stackRunes is the rune length up to which EditDistanceBounded keeps the
+// shorter string's decoding and its two DP rows in fixed-size stack buffers;
+// only longer inputs allocate.
+const stackRunes = 64
+
+// EditDistance returns the Levenshtein distance between a and b: the banded
+// kernel of EditDistanceBounded with the band opened to the longer string's
+// rune length, O(|a|·|b|) time. Inputs are compared by their rune decoding,
+// so invalid UTF-8 sequences collapse to U+FFFD before comparison (distinct
 // invalid byte sequences are therefore equal).
 func EditDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	prev := make([]int, len(ra)+1)
-	cur := make([]int, len(ra)+1)
-	for i := range prev {
-		prev[i] = i
-	}
-	for j := 1; j <= len(rb); j++ {
-		cur[0] = j
-		for i := 1; i <= len(ra); i++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[i] = min3(prev[i]+1, cur[i-1]+1, prev[i-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(ra)]
+	d, _ := EditDistanceBounded(a, b, maxRunes(a, b))
+	return d
 }
 
 // EditWithin reports whether EditDistance(a, b) ≤ θ, using the banded dynamic
@@ -43,33 +28,43 @@ func EditWithin(a, b string, theta int) bool {
 
 // EditDistanceBounded computes the edit distance if it is ≤ bound, returning
 // (distance, true); otherwise it returns (bound+1, false). The band around
-// the diagonal has width 2·bound+1.
+// the diagonal has width 2·bound+1. It allocates nothing on the heap while
+// the shorter string has at most stackRunes runes.
 func EditDistanceBounded(a, b string, bound int) (int, bool) {
 	if bound < 0 {
 		return 0, false
 	}
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
+	n, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	if n > lb {
+		a, b, n, lb = b, a, lb, n
 	}
-	if len(rb)-len(ra) > bound {
+	if lb-n > bound {
 		return bound + 1, false
 	}
-	if len(ra) == 0 {
-		return len(rb), true
+	if n == 0 {
+		return lb, true
+	}
+	// The shorter string is decoded for random access; the longer one
+	// streams through the outer loop.
+	var runeBuf [stackRunes]rune
+	var rowBuf [2 * (stackRunes + 1)]int
+	ra, rows := runeBuf[:], rowBuf[:]
+	if n > stackRunes {
+		ra, rows = make([]rune, n), make([]int, 2*(n+1))
+	}
+	i := 0
+	for _, r := range a {
+		ra[i] = r
+		i++
 	}
 	const inf = int(^uint(0) >> 2)
-	n := len(ra)
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
-	for i := 0; i <= n; i++ {
-		if i <= bound {
-			prev[i] = i
-		} else {
-			prev[i] = inf
-		}
+	prev, cur := rows[:n+1], rows[n+1:2*(n+1)]
+	for i := 0; i <= min(bound, n); i++ {
+		prev[i] = i // row 0 is only read inside the band
 	}
-	for j := 1; j <= len(rb); j++ {
+	j := 0
+	for _, rj := range b {
+		j++
 		lo := j - bound
 		if lo < 1 {
 			lo = 1
@@ -94,7 +89,7 @@ func EditDistanceBounded(a, b string, bound int) (int, bool) {
 		rowMin := inf
 		for i := lo; i <= hi; i++ {
 			cost := 1
-			if ra[i-1] == rb[j-1] {
+			if ra[i-1] == rj {
 				cost = 0
 			}
 			up := inf
@@ -133,23 +128,61 @@ func EditDistanceBounded(a, b string, bound int) (int, bool) {
 // 1 − ED(a, b) / max(|a|, |b|), a value in [0, 1]. Two empty strings have
 // similarity 1.
 func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	m := la
-	if lb > m {
-		m = lb
+	return similarityAt(EditDistance(a, b), maxRunes(a, b))
+}
+
+// EditSimilarityAtLeast reports AtLeast(EditSimilarity(a, b), θ) without
+// computing the full distance: θ becomes the largest distance bound that
+// still satisfies it, and the banded kernel decides.
+func EditSimilarityAtLeast(a, b string, theta float64) bool {
+	return EditWithin(a, b, similarityBound(maxRunes(a, b), theta, true))
+}
+
+// EditSimilarityAtMost reports AtMost(EditSimilarity(a, b), σ) the same way:
+// the similarity exceeds σ exactly when the distance is within the largest
+// bound whose similarity still exceeds σ.
+func EditSimilarityAtMost(a, b string, sigma float64) bool {
+	return !EditWithin(a, b, similarityBound(maxRunes(a, b), sigma, false))
+}
+
+// similarityBound returns the largest edit distance d in [0, m] whose
+// similarity similarityAt(d, m) passes the threshold test — AtLeast(s, t)
+// when atLeast, else s above AtMost's tolerance — or −1 when none does.
+// Both tests are monotone in d, so the estimate ⌊(1−t)·m⌋ is corrected by
+// stepping with the exact expression EditSimilarity evaluates: the bound
+// gives the same verdict as comparing the similarity, float ties and
+// Epsilon included.
+func similarityBound(m int, t float64, atLeast bool) int {
+	d := 0
+	if f := (1 - t) * float64(m); f >= float64(m) {
+		d = m
+	} else if f > 0 {
+		d = int(f)
 	}
+	for d < m && similarityPasses(d+1, m, t, atLeast) {
+		d++
+	}
+	for d >= 0 && !similarityPasses(d, m, t, atLeast) {
+		d--
+	}
+	return d
+}
+
+func similarityPasses(d, m int, t float64, atLeast bool) bool {
+	if atLeast {
+		return AtLeast(similarityAt(d, m), t)
+	}
+	return !AtMost(similarityAt(d, m), t)
+}
+
+// similarityAt is the edit similarity of distance d at longer rune length m.
+func similarityAt(d, m int) float64 {
 	if m == 0 {
 		return 1
 	}
-	return 1 - float64(EditDistance(a, b))/float64(m)
+	return 1 - float64(d)/float64(m)
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
+func maxRunes(a, b string) int {
+	return max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 }

@@ -131,7 +131,32 @@ func TestEditDistanceBounded(t *testing.T) {
 	}
 }
 
-// Property: the banded computation agrees with the full DP for every bound.
+// refEditDistance is the test oracle for the banded kernel: the classic
+// two-row Levenshtein DP over the rune decodings, with no band, early exit
+// or stack buffer.
+func refEditDistance(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	prev := make([]int, len(ra)+1)
+	cur := make([]int, len(ra)+1)
+	for i := range prev {
+		prev[i] = i
+	}
+	for j := 1; j <= len(rb); j++ {
+		cur[0] = j
+		for i := 1; i <= len(ra); i++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[i] = min(prev[i]+1, cur[i-1]+1, prev[i-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(ra)]
+}
+
+// Property: the banded computation agrees with the full DP for every bound,
+// on short strings and on strings past the stack buffer.
 func TestEditDistanceBoundedMatchesFull(t *testing.T) {
 	alphabet := []rune("abcd")
 	gen := func(seed int64) string {
@@ -147,21 +172,30 @@ func TestEditDistanceBoundedMatchesFull(t *testing.T) {
 		}
 		return b.String()
 	}
-	for s1 := int64(0); s1 < 40; s1++ {
-		for s2 := int64(0); s2 < 40; s2++ {
-			a, b := gen(s1*7+1), gen(s2*13+3)
-			full := EditDistance(a, b)
-			for bound := 0; bound <= 10; bound++ {
-				d, ok := EditDistanceBounded(a, b, bound)
-				if full <= bound {
-					if !ok || d != full {
-						t.Fatalf("EditDistanceBounded(%q,%q,%d) = (%d,%v), full = %d", a, b, bound, d, ok, full)
-					}
-				} else if ok {
-					t.Fatalf("EditDistanceBounded(%q,%q,%d) ok but full = %d", a, b, bound, full)
+	check := func(a, b string, bounds ...int) {
+		full := refEditDistance(a, b)
+		if d := EditDistance(a, b); d != full {
+			t.Fatalf("EditDistance(%q,%q) = %d, full = %d", a, b, d, full)
+		}
+		for _, bound := range bounds {
+			d, ok := EditDistanceBounded(a, b, bound)
+			if full <= bound {
+				if !ok || d != full {
+					t.Fatalf("EditDistanceBounded(%q,%q,%d) = (%d,%v), full = %d", a, b, bound, d, ok, full)
 				}
+			} else if ok {
+				t.Fatalf("EditDistanceBounded(%q,%q,%d) ok but full = %d", a, b, bound, full)
 			}
 		}
+	}
+	for s1 := int64(0); s1 < 40; s1++ {
+		for s2 := int64(0); s2 < 40; s2++ {
+			check(gen(s1*7+1), gen(s2*13+3), 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+		}
+	}
+	long := strings.Repeat("abcdé", stackRunes/5+2)
+	for _, b := range []string{long, long[1:], long + "x", "x" + long, strings.ToUpper(long), "abc"} {
+		check(long, b, 0, 1, 2, stackRunes, 2*stackRunes)
 	}
 }
 

@@ -3,12 +3,13 @@
 # BenchmarkDIMEPlus trio (nil probe vs traced vs flight recorder), the
 # BenchmarkDIMEPlusParallel pair (sequential vs intra-group workers — note
 # the parallel numbers are hardware-dependent and collapse to sequential on
-# one core), plus a one-shot smoke of two experiment benches, all with
-# -benchmem. The combined output is converted by cmd/benchjson into
-# BENCH_core.json, the checked-in performance snapshot that lets perf
-# regressions show up in review, and appended as one timestamped JSON line
-# to BENCH_history.jsonl, the multi-run log `benchjson -trend` (and `make
-# trend`) analyzes.
+# one core), the BenchmarkEditPredicate edit-similarity verdicts of
+# internal/sim (0 allocs/op on short strings), plus a one-shot smoke of two
+# experiment benches, all with -benchmem. The combined output is converted
+# by cmd/benchjson into BENCH_core.json, the checked-in performance snapshot
+# that lets perf regressions show up in review, and appended as one
+# timestamped JSON line to BENCH_history.jsonl, the multi-run log
+# `benchjson -trend` (and `make trend`) analyzes.
 #
 # When a previous ${BENCH_OUT} exists it is diffed against: per-benchmark
 # ns/op and allocs/op deltas print to stderr, and an allocs/op regression of
@@ -62,6 +63,9 @@ fi
 
 echo "== BenchmarkDIMEPlus + BenchmarkDIMEPlusParallel (-benchtime=${BENCHTIME})"
 go test -run='^$' -bench='^BenchmarkDIMEPlus(Parallel)?$' -benchmem -benchtime="${BENCHTIME}" . | tee "$tmp"
+
+echo "== BenchmarkEditPredicate (internal/sim)"
+go test -run='^$' -bench='^BenchmarkEditPredicate$' -benchmem ./internal/sim | tee -a "$tmp"
 
 echo "== experiment smoke (-benchtime=1x)"
 go test -run='^$' -bench='^BenchmarkExp(1Fig6|4TableI)$' -benchmem -benchtime=1x . | tee -a "$tmp"
