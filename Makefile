@@ -48,7 +48,8 @@ check:
 	./scripts/check.sh
 
 # Performance snapshot: BenchmarkDIMEPlus(Parallel), the internal/sim
-# BenchmarkEditPredicate kernel verdicts and an experiment smoke, written to
+# BenchmarkEditPredicate kernel verdicts, the BenchmarkSignatureGeneration
+# filter-step layers and an experiment smoke, written to
 # BENCH_core.json via cmd/benchjson and appended to BENCH_history.jsonl.
 # Override BENCHTIME / BENCH_OUT / BENCH_HISTORY.
 bench:

@@ -397,6 +397,20 @@ func BenchmarkSignatureGeneration(b *testing.B) {
 			ix.ForEach(func(signature.Candidate) { n++ })
 		}
 	})
+	// DBGen names are signed by eds(Name) q-grams as well as Name and Tags
+	// tokens, so this context exercises the q-gram spaces.
+	dcfg := presets.DBGenConfig()
+	drs := presets.DBGenRules(dcfg)
+	drecs, err := dcfg.NewRecords(datagen.DBGen(datagen.DBGenOptions{NumEntities: 4000, ErrorRate: 0.1, Seed: 1}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("DBGenContext", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			signature.NewContext(dcfg, drecs, drs)
+		}
+	})
 }
 
 func BenchmarkLDATrain(b *testing.B) {

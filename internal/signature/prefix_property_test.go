@@ -33,8 +33,11 @@ func TestPrefixLemmaDirect(t *testing.T) {
 
 	for trial := 0; trial < 3000; trial++ {
 		a, b := randSet(), randSet()
-		ord := tokenize.BuildOrdering([][]string{a, b, randSet(), randSet()})
-		sa, sb := ord.Sorted(a), ord.Sorted(b)
+		ids := internDocs(a, b, randSet(), randSet())
+		sa, sb := ids[0], ids[1]
+		if len(sa) != len(a) || len(sb) != len(b) {
+			t.Fatalf("trial %d: interning changed the set sizes", trial)
+		}
 
 		check := func(fn rules.Func, value, theta float64) {
 			if value < theta {
@@ -49,7 +52,7 @@ func TestPrefixLemmaDirect(t *testing.T) {
 			if ka <= 0 || kb <= 0 {
 				t.Fatalf("trial %d %v: satisfied pair with empty prefix (value=%v θ=%v)", trial, fn, value, theta)
 			}
-			if !sharesTokens(sa[:ka], sb[:kb]) {
+			if !sharesIDs(sa[:ka], sb[:kb]) {
 				t.Fatalf("trial %d %v: sim=%v ≥ θ=%v but prefixes disjoint\na=%v\nb=%v",
 					trial, fn, value, theta, sa[:ka], sb[:kb])
 			}
@@ -64,7 +67,18 @@ func TestPrefixLemmaDirect(t *testing.T) {
 	}
 }
 
-func sharesTokens(a, b []string) bool {
+// internDocs interns docs as one signature space, as Context does for an
+// attribute, and returns each document's distinct ids in global order.
+func internDocs(docs ...[]string) [][]int32 {
+	b := tokenize.NewBuilder(len(docs), 0)
+	for _, d := range docs {
+		b.Add(d)
+	}
+	_, ids := b.Build()
+	return ids
+}
+
+func sharesIDs(a, b []int32) bool {
 	for _, x := range a {
 		for _, y := range b {
 			if x == y {
@@ -114,10 +128,9 @@ func TestGramPrefixLemmaDirect(t *testing.T) {
 			if len(g1) < k || len(g2) < k {
 				continue // vacuous: the scheme emits Universal here
 			}
-			ord := tokenize.BuildOrdering([][]string{g1, g2})
-			p1 := ord.Sorted(g1)[:k]
-			p2 := ord.Sorted(g2)[:k]
-			if !sharesTokens(p1, p2) {
+			ids := internDocs(g1, g2)
+			p1, p2 := ids[0][:k], ids[1][:k]
+			if !sharesIDs(p1, p2) {
 				t.Fatalf("trial %d: ed(%q,%q)=%d ≤ %d but gram prefixes disjoint", trial, s1, str2, d, bound)
 			}
 		}

@@ -4,8 +4,10 @@
 # BenchmarkDIMEPlusParallel pair (sequential vs intra-group workers — note
 # the parallel numbers are hardware-dependent and collapse to sequential on
 # one core), the BenchmarkEditPredicate edit-similarity verdicts of
-# internal/sim (0 allocs/op on short strings), plus a one-shot smoke of two
-# experiment benches, all with -benchmem. The combined output is converted
+# internal/sim (0 allocs/op on short strings), the BenchmarkSignatureGeneration
+# filter-step layers (signature context over a Scholar page and a 4000-record
+# DBGen group, positive index build, candidate enumeration), plus a one-shot
+# smoke of two experiment benches, all with -benchmem. The combined output is converted
 # by cmd/benchjson into BENCH_core.json, the checked-in performance snapshot
 # that lets perf regressions show up in review, and appended as one
 # timestamped JSON line to BENCH_history.jsonl, the multi-run log
@@ -66,6 +68,9 @@ go test -run='^$' -bench='^BenchmarkDIMEPlus(Parallel)?$' -benchmem -benchtime="
 
 echo "== BenchmarkEditPredicate (internal/sim)"
 go test -run='^$' -bench='^BenchmarkEditPredicate$' -benchmem ./internal/sim | tee -a "$tmp"
+
+echo "== BenchmarkSignatureGeneration"
+go test -run='^$' -bench='^BenchmarkSignatureGeneration$' -benchmem . | tee -a "$tmp"
 
 echo "== experiment smoke (-benchtime=1x)"
 go test -run='^$' -bench='^BenchmarkExp(1Fig6|4TableI)$' -benchmem -benchtime=1x . | tee -a "$tmp"
