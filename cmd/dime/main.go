@@ -7,7 +7,7 @@
 //	dime -in group.json -pos "ov(Authors) >= 2" -pos "..." -neg "ov(Authors) = 0"
 //	dime -in group.json -rules rules.json [-ontology tree.json -tree Venue]
 //	dime -in labeled.json -preset scholar -learn rules.json
-//	dime -in group.json -preset scholar -trace trace.json -log
+//	dime -in group.json -preset scholar -flight-out flight.json -log
 //	dime -in corpus.jsonl -preset scholar -stats -serve-debug :6060
 //
 // With a preset, the paper's rule set and record configuration for that
@@ -20,17 +20,17 @@
 // witness, and with -stats the work counters (for corpora, the batch
 // aggregate with wall time and worker count).
 //
-// Observability: -trace FILE writes a JSON span tree of every pipeline phase
-// with timings and work counters; -log emits one structured log line per
-// completed phase to stderr; -serve-debug ADDR serves /debug/pprof/,
-// /debug/vars, /debug/flight and a Prometheus-format /metrics for the
-// duration of the run and then waits for ctrl-c so the endpoints can be
-// inspected. -metrics-out FILE writes the final Prometheus text snapshot;
-// -flight-out FILE dumps the flight recorder (ring buffer of recent runs,
-// tail-retained above -flight-threshold, with per-span heap-allocation
-// deltas under -flight-resources). With -stats, phase-latency quantiles
-// (p50/p90/p99, interpolated from fixed-bucket histograms) follow the work
-// counters.
+// Observability: -flight-out FILE writes the span tree of every run the
+// invocation starts (every pipeline phase with its attrs, timings and work
+// counters, as depth-tagged pre-order events), keeping only runs at least
+// -flight-threshold long and adding per-span heap-allocation deltas under
+// -flight-resources; -log emits one structured log line per completed
+// phase to stderr; -serve-debug ADDR serves /debug/pprof/, /debug/vars,
+// /debug/flight and a Prometheus-format /metrics for the duration of the
+// run and then waits for ctrl-c so the endpoints can be inspected.
+// -metrics-out FILE writes the final Prometheus text snapshot. With -stats,
+// phase-latency quantiles (p50/p90/p99, interpolated from fixed-bucket
+// histograms) follow the work counters.
 package main
 
 import (
@@ -87,11 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		learn      = fs.String("learn", "", "learn a rule set from the group's ground truth and write it to this file")
 		profile    = fs.Bool("profile", false, "profile the group's attributes (coverage, token shape, separability) and exit")
 		intra      = fs.Int("intra-workers", 0, "worker goroutines within each DIME+ run (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
-		traceFile  = fs.String("trace", "", "write a JSON span trace of the run to this file")
 		logSpans   = fs.Bool("log", false, "emit one structured log line per completed phase to stderr")
 		serveDebug = fs.String("serve-debug", "", "serve /debug/pprof/, /debug/vars, /debug/flight and /metrics on this address (e.g. :6060)")
 		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file")
-		flightOut  = fs.String("flight-out", "", "write the flight-recorder dump (recent retained runs) as JSON to this file")
+		flightOut  = fs.String("flight-out", "", "write the span trace of every retained run as JSON to this file")
 		flightThr  = fs.Duration("flight-threshold", 0, "flight recorder keeps only runs at least this long (0 keeps all)")
 		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events")
 		pos        stringsFlag
@@ -110,20 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Observability wiring: any combination of a JSON trace, per-span logs,
-	// the metrics registry (behind the debug server and/or -metrics-out and
-	// -stats quantiles), and the flight recorder.
+	groups, err := loadGroups(*in, *csvID, *csvSep)
+	if err != nil {
+		fmt.Fprintf(stderr, "dime: %v\n", err)
+		return 1
+	}
+
+	// Observability wiring: any combination of per-span logs, the metrics
+	// registry (behind the debug server and/or -metrics-out and -stats
+	// quantiles), and the flight recorder.
 	var (
-		tr     *obs.Trace
 		reg    *obs.Registry
 		fr     *obs.FlightRecorder
 		probes []obs.Probe
 		srv    *obs.DebugServer
 	)
-	if *traceFile != "" {
-		tr = obs.NewTrace()
-		probes = append(probes, tr)
-	}
 	if *logSpans {
 		probes = append(probes, obs.Logged(obs.NewLogger(stderr, slog.LevelInfo), slog.LevelInfo))
 	}
@@ -138,7 +138,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		probes = append(probes, obs.Observer(reg))
 	}
 	if *flightOut != "" || *serveDebug != "" || *flightThr > 0 || *flightRes {
-		fr = obs.NewFlightRecorder(obs.FlightOptions{Threshold: *flightThr, Resources: *flightRes})
+		// One shard sized to every run the input can start makes the ring
+		// an exact window that no run of this invocation falls out of.
+		fr = obs.NewFlightRecorder(obs.FlightOptions{
+			Capacity: maxRuns(groups, *learn), Shards: 1,
+			Threshold: *flightThr, Resources: *flightRes,
+		})
 		probes = append(probes, fr)
 	}
 	if *serveDebug != "" {
@@ -151,8 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	probe := obs.Multi(probes...)
 
-	code := runInput(stdout, stderr, probe, cliArgs{
-		in: *in, csvID: *csvID, csvSep: *csvSep,
+	code := runInput(stdout, stderr, probe, groups, cliArgs{
 		preset: *preset, rulesFile: *rulesFile, ontoFile: *ontoFile,
 		treeAttrs: treeAttrs, pos: pos, neg: neg,
 		level: *level, basic: *basic, stats: *stats, why: *why,
@@ -160,21 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg: reg,
 	})
 
-	if tr != nil {
-		f, err := os.Create(*traceFile)
-		if err == nil {
-			err = tr.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "dime: writing trace: %v\n", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
 	if *metricsOut != "" {
 		if err := writeFileWith(*metricsOut, reg.WritePrometheus); err != nil {
 			fmt.Fprintf(stderr, "dime: writing metrics: %v\n", err)
@@ -202,7 +191,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // cliArgs carries the parsed flags into the execution paths.
 type cliArgs struct {
-	in, csvID, csvSep           string
 	preset, rulesFile, ontoFile string
 	treeAttrs, pos, neg         []string
 	level                       int
@@ -228,15 +216,24 @@ func writeFileWith(path string, dump func(io.Writer) error) error {
 	return err
 }
 
+// maxRuns is the number of root spans an invocation over groups can start:
+// two rule-generation passes under -learn, a batch root plus one run per
+// group for a corpus, and one run for a single group.
+func maxRuns(groups []*entity.Group, learn string) int {
+	switch {
+	case learn != "":
+		return 2
+	case len(groups) > 1:
+		return len(groups) + 1
+	}
+	return 1
+}
+
 // runInput dispatches to the profile / learn / corpus / single-group paths.
-func runInput(stdout, stderr io.Writer, probe obs.Probe, c cliArgs) int {
+func runInput(stdout, stderr io.Writer, probe obs.Probe, groups []*entity.Group, c cliArgs) int {
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "dime: %v\n", err)
 		return 1
-	}
-	groups, err := loadGroups(c.in, c.csvID, c.csvSep)
-	if err != nil {
-		return fail(err)
 	}
 	if len(groups) > 1 && !c.profile && c.learn == "" {
 		cfg, rs, err := resolveRules(groups[0], c.preset, c.rulesFile, c.ontoFile, c.treeAttrs, c.pos, c.neg)

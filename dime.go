@@ -200,10 +200,6 @@ type (
 	Probe = obs.Probe
 	// Span is one timed phase with counters.
 	Span = obs.Span
-	// Trace is a recording probe that builds an exportable JSON span tree.
-	Trace = obs.Trace
-	// TraceSpan is one recorded span of a Trace.
-	TraceSpan = obs.TraceSpan
 	// DebugServer is the HTTP server ServeDebug starts.
 	DebugServer = obs.DebugServer
 	// FlightRecorder is the always-on probe: a fixed-size ring of recent
@@ -217,10 +213,6 @@ type (
 	// FlightEvent is one span of a retained trace.
 	FlightEvent = obs.FlightEvent
 )
-
-// NewTrace returns an empty recording probe; pass it as Options.Probe and
-// call Trace.WriteJSON (or Trace.Export) once the run finishes.
-func NewTrace() *Trace { return obs.NewTrace() }
 
 // MultiProbe fans spans out to several probes at once; nil entries are
 // dropped, and with no live probes it returns nil (uninstrumented).

@@ -15,6 +15,77 @@ import (
 	"dime/internal/presets"
 )
 
+// subtreeEnd returns the index just past event i's subtree: the following
+// events up to the next one at depth ≤ event i's depth.
+func subtreeEnd(evs []obs.FlightEvent, i int) int {
+	j := i + 1
+	for j < len(evs) && evs[j].Depth > evs[i].Depth {
+		j++
+	}
+	return j
+}
+
+// childrenOf returns the indexes of event i's direct children: the events
+// of its subtree one level deeper.
+func childrenOf(evs []obs.FlightEvent, i int) []int {
+	var out []int
+	for j := i + 1; j < subtreeEnd(evs, i); j++ {
+		if evs[j].Depth == evs[i].Depth+1 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// findAll returns the indexes of the events named name, in pre-order.
+func findAll(evs []obs.FlightEvent, name string) []int {
+	var out []int
+	for i, ev := range evs {
+		if ev.Name == name {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// ownCounter returns the named counter recorded on ev itself.
+func ownCounter(ev obs.FlightEvent, name string) int64 {
+	for _, c := range ev.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// subtreeCounter sums the named counter over event i and its descendants.
+func subtreeCounter(evs []obs.FlightEvent, i int, name string) int64 {
+	var total int64
+	for j := i; j < subtreeEnd(evs, i); j++ {
+		total += ownCounter(evs[j], name)
+	}
+	return total
+}
+
+// attrOf returns the value of key among attrs, or "".
+func attrOf(attrs []obs.Attr, key string) string {
+	for _, a := range attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// childNames returns the names of event i's direct children, in order.
+func childNames(evs []obs.FlightEvent, i int) []string {
+	var out []string
+	for _, c := range childrenOf(evs, i) {
+		out = append(out, evs[c].Name)
+	}
+	return out
+}
+
 // TestDIMEPlusProbeObservesPhases checks the tentpole contract: a recording
 // probe sees all six pipeline phases under one run span, nested and ordered
 // the way the algorithm executes them, with counters that agree exactly with
@@ -27,8 +98,8 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{Capacity: 8, Shards: 1})
+	opts.Probe = fr
 	res, err := DIMEPlus(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -44,13 +115,13 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 		t.Fatalf("probe changed levels: %+v vs %+v", res.Levels, base.Levels)
 	}
 
-	runs := tr.Runs()
-	if len(runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(runs))
+	traces := fr.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("runs = %d, want 1", len(traces))
 	}
-	run := runs[0]
-	if run.Name != "dime+" || run.Attrs["group"] != g.Name {
-		t.Fatalf("run = %q attrs %v", run.Name, run.Attrs)
+	evs := traces[0].Events
+	if evs[0].Name != "dime+" || attrOf(evs[0].Attrs, "group") != g.Name {
+		t.Fatalf("run = %q attrs %v", evs[0].Name, evs[0].Attrs)
 	}
 
 	// Top-level phases appear in execution order: the four positive-side
@@ -62,59 +133,51 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 	for range opts.Rules.Negative {
 		wantOrder = append(wantOrder, obs.PhaseNegativeFilter, obs.PhaseNegativeVerify)
 	}
-	var gotOrder []string
-	for _, c := range run.Children {
-		gotOrder = append(gotOrder, c.Name)
-	}
-	if !reflect.DeepEqual(gotOrder, wantOrder) {
+	if gotOrder := childNames(evs, 0); !reflect.DeepEqual(gotOrder, wantOrder) {
 		t.Fatalf("phase order = %v, want %v", gotOrder, wantOrder)
 	}
 
 	// Nesting: signature-build holds one child per positive rule; the
 	// negative spans carry the rule name in application order.
-	sb := run.Find(obs.PhaseSignatureBuild)
-	if len(sb.Children) != len(opts.Rules.Positive) {
-		t.Fatalf("signature-build children = %d, want %d", len(sb.Children), len(opts.Rules.Positive))
+	sb := childrenOf(evs, findAll(evs, obs.PhaseSignatureBuild)[0])
+	if len(sb) != len(opts.Rules.Positive) {
+		t.Fatalf("signature-build children = %d, want %d", len(sb), len(opts.Rules.Positive))
 	}
-	for i, c := range sb.Children {
-		if c.Attrs["rule"] != opts.Rules.Positive[i].Name {
-			t.Fatalf("signature-build child %d rule = %q", i, c.Attrs["rule"])
+	for i, c := range sb {
+		if got := attrOf(evs[c].Attrs, "rule"); got != opts.Rules.Positive[i].Name {
+			t.Fatalf("signature-build child %d rule = %q", i, got)
 		}
 	}
-	for i, span := range run.FindAll(obs.PhaseNegativeFilter) {
-		if span.Attrs["rule"] != opts.Rules.Negative[i].Name {
-			t.Fatalf("negative-filter %d rule = %q", i, span.Attrs["rule"])
+	for i, idx := range findAll(evs, obs.PhaseNegativeFilter) {
+		if got := attrOf(evs[idx].Attrs, "rule"); got != opts.Rules.Negative[i].Name {
+			t.Fatalf("negative-filter %d rule = %q", i, got)
 		}
 	}
-	for i, span := range run.FindAll(obs.PhaseNegativeVerify) {
-		if span.Attrs["rule"] != opts.Rules.Negative[i].Name {
-			t.Fatalf("negative-verify %d rule = %q", i, span.Attrs["rule"])
+	for i, idx := range findAll(evs, obs.PhaseNegativeVerify) {
+		if got := attrOf(evs[idx].Attrs, "rule"); got != opts.Rules.Negative[i].Name {
+			t.Fatalf("negative-verify %d rule = %q", i, got)
 		}
 	}
 
 	// Counters agree with Stats, both in total and per rule.
 	st := res.Stats
+	var negVerified int64
+	for _, idx := range findAll(evs, obs.PhaseNegativeVerify) {
+		negVerified += ownCounter(evs[idx], "verified")
+	}
 	checks := []struct {
 		name string
 		got  int64
 		want int64
 	}{
-		{"candidates", run.Counter("candidates"), st.PositivePairsConsidered},
-		{"verified (positive)", run.Find(obs.PhasePositiveVerify).Counter("verified"), st.PositiveVerified},
-		{"skipped-transitivity", run.Counter("skipped-transitivity"), st.PositiveSkippedByTransitivity},
-		{"partitions-filtered", run.Counter("partitions-filtered"), st.PartitionsFilteredBySignature},
-		{"certain-pairs", run.Counter("certain-pairs"), st.CertainPairsBySignature},
-		{"records", run.Counter("records"), int64(len(g.Entities))},
+		{"candidates", subtreeCounter(evs, 0, "candidates"), st.PositivePairsConsidered},
+		{"verified (positive)", subtreeCounter(evs, findAll(evs, obs.PhasePositiveVerify)[0], "verified"), st.PositiveVerified},
+		{"skipped-transitivity", subtreeCounter(evs, 0, "skipped-transitivity"), st.PositiveSkippedByTransitivity},
+		{"partitions-filtered", subtreeCounter(evs, 0, "partitions-filtered"), st.PartitionsFilteredBySignature},
+		{"certain-pairs", subtreeCounter(evs, 0, "certain-pairs"), st.CertainPairsBySignature},
+		{"records", subtreeCounter(evs, 0, "records"), int64(len(g.Entities))},
+		{"verified (negative)", negVerified, st.NegativeVerified},
 	}
-	var negVerified int64
-	for _, span := range run.FindAll(obs.PhaseNegativeVerify) {
-		negVerified += span.Counters["verified"]
-	}
-	checks = append(checks, struct {
-		name string
-		got  int64
-		want int64
-	}{"verified (negative)", negVerified, st.NegativeVerified})
 	for _, c := range checks {
 		if c.got != c.want {
 			t.Errorf("counter %s = %d, want %d", c.name, c.got, c.want)
@@ -122,14 +185,14 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 	}
 	var perRule int64
 	for _, r := range opts.Rules.Positive {
-		perRule += run.Counter("verified/" + r.Name)
+		perRule += subtreeCounter(evs, 0, "verified/"+r.Name)
 	}
 	if perRule != st.PositiveVerified {
 		t.Errorf("per-rule verified sum = %d, want %d", perRule, st.PositiveVerified)
 	}
 	var perRuleCands int64
 	for _, r := range opts.Rules.Positive {
-		perRuleCands += run.Counter("candidates/" + r.Name)
+		perRuleCands += subtreeCounter(evs, 0, "candidates/"+r.Name)
 	}
 	if perRuleCands != st.PositivePairsConsidered {
 		t.Errorf("per-rule candidates sum = %d, want %d", perRuleCands, st.PositivePairsConsidered)
@@ -137,19 +200,16 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 
 	// Every recorded span was ended (duration fixed) and starts no earlier
 	// than its parent.
-	var walk func(p, s *obs.TraceSpan)
-	walk = func(p, s *obs.TraceSpan) {
-		if s.DurNS < 0 {
-			t.Errorf("span %s has negative duration", s.Name)
+	for i, ev := range evs {
+		if ev.DurNS < 0 {
+			t.Errorf("span %s has negative duration", ev.Name)
 		}
-		if p != nil && s.StartNS < p.StartNS {
-			t.Errorf("span %s starts before parent %s", s.Name, p.Name)
-		}
-		for _, c := range s.Children {
-			walk(s, c)
+		for _, c := range childrenOf(evs, i) {
+			if evs[c].StartNS < ev.StartNS {
+				t.Errorf("span %s starts before parent %s", evs[c].Name, ev.Name)
+			}
 		}
 	}
-	walk(nil, run)
 }
 
 // TestDIMEProbeObservesPhases checks the basic algorithm's slimmer span set:
@@ -158,29 +218,25 @@ func TestDIMEPlusProbeObservesPhases(t *testing.T) {
 func TestDIMEProbeObservesPhases(t *testing.T) {
 	g := fixtures.Figure1Group()
 	opts := paperOptions()
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{Capacity: 8, Shards: 1})
+	opts.Probe = fr
 	res, err := DIME(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := tr.Runs()
-	if len(runs) != 1 || runs[0].Name != "dime" {
-		t.Fatalf("runs = %+v", runs)
+	traces := fr.Snapshot()
+	if len(traces) != 1 || traces[0].Name != "dime" {
+		t.Fatalf("runs = %+v", traces)
 	}
-	run := runs[0]
+	evs := traces[0].Events
 	wantOrder := []string{obs.PhaseRecordCompile, obs.PhasePositiveVerify}
 	for range opts.Rules.Negative {
 		wantOrder = append(wantOrder, obs.PhaseNegativeVerify)
 	}
-	var gotOrder []string
-	for _, c := range run.Children {
-		gotOrder = append(gotOrder, c.Name)
-	}
-	if !reflect.DeepEqual(gotOrder, wantOrder) {
+	if gotOrder := childNames(evs, 0); !reflect.DeepEqual(gotOrder, wantOrder) {
 		t.Fatalf("phase order = %v, want %v", gotOrder, wantOrder)
 	}
-	if got := run.Counter("verified"); got != res.Stats.PositiveVerified+res.Stats.NegativeVerified {
+	if got := subtreeCounter(evs, 0, "verified"); got != res.Stats.PositiveVerified+res.Stats.NegativeVerified {
 		t.Errorf("verified = %d, want %d", got, res.Stats.PositiveVerified+res.Stats.NegativeVerified)
 	}
 }
@@ -195,8 +251,8 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 	g.Entities = g.Entities[:len(g.Entities)-1]
 
 	opts := paperOptions()
-	tr := obs.NewTrace()
-	opts.Probe = tr
+	fr := obs.NewFlightRecorder(obs.FlightOptions{Capacity: 8, Shards: 1})
+	opts.Probe = fr
 	s, err := NewSession(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -209,10 +265,10 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runs := tr.Runs()
+	traces := fr.Snapshot()
 	var names []string
-	for _, r := range runs {
-		names = append(names, r.Name)
+	for _, tr := range traces {
+		names = append(names, tr.Name)
 	}
 	want := []string{"session-rebuild", "session-add", "session-result"}
 	if !reflect.DeepEqual(names, want) {
@@ -220,15 +276,10 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 	}
 
 	seen := make(map[string]bool)
-	for _, r := range runs {
-		var mark func(s *obs.TraceSpan)
-		mark = func(s *obs.TraceSpan) {
-			seen[s.Name] = true
-			for _, c := range s.Children {
-				mark(c)
-			}
+	for _, tr := range traces {
+		for _, ev := range tr.Events {
+			seen[ev.Name] = true
 		}
-		mark(r)
 	}
 	for _, phase := range []string{
 		obs.PhaseRecordCompile, obs.PhaseSignatureBuild, obs.PhaseCandidateGen,
@@ -240,10 +291,10 @@ func TestSessionProbeObservesPhases(t *testing.T) {
 	}
 
 	var candidates, verified int64
-	for _, r := range runs {
-		candidates += r.Counter("candidates")
-		if pv := r.Find(obs.PhasePositiveVerify); pv != nil {
-			verified += pv.Counter("verified")
+	for _, tr := range traces {
+		candidates += subtreeCounter(tr.Events, 0, "candidates")
+		if pv := findAll(tr.Events, obs.PhasePositiveVerify); len(pv) > 0 {
+			verified += subtreeCounter(tr.Events, pv[0], "verified")
 		}
 	}
 	if candidates != res.Stats.PositivePairsConsidered {

@@ -48,8 +48,13 @@ type flightShard struct {
 
 // FlightOptions configures a recorder; the zero value selects the defaults.
 type FlightOptions struct {
-	// Capacity is the total number of retained traces across all shards
-	// (rounded up to a multiple of the shard count); 0 means 256.
+	// Capacity sizes the ring; 0 means 256. It is split evenly across the
+	// shards (rounded up to a multiple of the shard count), and each shard
+	// is its own ring of Capacity/Shards slots, overwritten oldest-first.
+	// Runs land on shards by start time, not round-robin, so when they
+	// spread unevenly a busy shard overwrites while others still have free
+	// slots, and a dump can hold fewer than Capacity of the most recent
+	// traces. Shards: 1 makes the ring an exact most-recent-Capacity window.
 	Capacity int
 	// Shards is the number of independent ring segments (rounded up to a
 	// power of two); 0 means the next power of two ≥ GOMAXPROCS, capped at

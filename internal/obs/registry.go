@@ -52,11 +52,15 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable float64 (worker counts, queue depths, last run sizes).
+// Gauge is a float64 that can go up and down (worker counts, queue depths,
+// in-flight requests, last run sizes).
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Add atomically adds delta (negative to decrease).
+func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 
 // Value returns the last stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -93,10 +97,14 @@ func (h *Histogram) Observe(v float64) {
 	idx := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v; len(bounds) = overflow
 	h.counts[idx].Add(1)
 	h.total.Add(1)
+	addFloat(&h.sum, v)
+}
+
+// addFloat atomically adds v to the float64 stored as bits.
+func addFloat(bits *atomic.Uint64, v float64) {
 	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, next) {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}

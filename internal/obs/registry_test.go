@@ -20,6 +20,10 @@ func TestRegistryCountersGaugesHistograms(t *testing.T) {
 	if got := r.Gauge("g").Value(); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("gauge = %g, want 2.5", got)
 	}
+	r.Gauge("g").Add(-1)
+	if got := r.Gauge("g").Value(); math.Abs(got-1.5) > 1e-12 {
+		t.Fatalf("gauge after Add(-1) = %g, want 1.5", got)
+	}
 	h := r.Histogram("h", []float64{1, 10, 100})
 	for _, v := range []float64{0.5, 5, 5, 50, 5000} {
 		h.Observe(v)
@@ -120,6 +124,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				r.Counter("c").Add(1)
 				r.Histogram("h", nil).Observe(0.001)
 				r.Gauge("g").Set(float64(j))
+				r.Gauge("a").Add(1)
 			}
 		}()
 	}
@@ -135,6 +140,9 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 	if got := r.Histogram("h", nil).Count(); got != 8*500 {
 		t.Fatalf("h count = %d, want %d", got, 8*500)
+	}
+	if got := r.Gauge("a").Value(); math.Abs(got-8*500) > 1e-9 {
+		t.Fatalf("a = %g, want %d", got, 8*500)
 	}
 }
 

@@ -43,7 +43,7 @@ func (s *Service) instrument(route string, h http.HandlerFunc) http.Handler {
 	reg := s.opts.Registry
 	hist := reg.Histogram("dime.http."+route+".seconds", nil)
 	requests := reg.Counter("dime.http." + route + ".requests")
-	inflight := reg.Counter("dime.http.inflight")
+	inflight := reg.Gauge("dime.http.inflight")
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		ctx, cancel := context.WithTimeout(req.Context(), s.opts.RequestTimeout)
 		defer cancel()

@@ -113,6 +113,46 @@ func TestDebugRouteParity(t *testing.T) {
 	}
 }
 
+// TestInflightGauge checks that dime.http.inflight is exposed as a gauge
+// (Prometheus counters may never decrease) that counts a request while its
+// handler runs and drops back once the handler returns.
+func TestInflightGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	fr := obs.NewFlightRecorder(obs.FlightOptions{})
+	svc := NewService(Options{Registry: reg, Flight: fr})
+	entered, release := make(chan struct{}), make(chan struct{})
+	mux := http.NewServeMux()
+	obs.RegisterDebug(mux, reg, fr)
+	mux.Handle("GET /gated", svc.instrument("gated", func(http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+	}))
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/gated")
+		if err == nil {
+			err = resp.Body.Close()
+		}
+		done <- err
+	}()
+	<-entered
+	want := "# TYPE dime_http_inflight gauge\ndime_http_inflight 1\n"
+	if _, body, _ := doReq(t, http.MethodGet, ts.URL+"/metrics", nil); !strings.Contains(body, want) {
+		t.Errorf("in flight: /metrics missing %q:\n%s", want, body)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	want = "# TYPE dime_http_inflight gauge\ndime_http_inflight 0\n"
+	if _, body, _ := doReq(t, http.MethodGet, ts.URL+"/metrics", nil); !strings.Contains(body, want) {
+		t.Errorf("after return: /metrics missing %q:\n%s", want, body)
+	}
+}
+
 // TestBackpressure429 drives the pool to capacity — one worker held by a
 // gated job, zero queue depth — and requires the next discover request to be
 // rejected with 429 and a Retry-After header rather than buffered or blocked.

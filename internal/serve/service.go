@@ -426,13 +426,15 @@ func (s *Service) StartDiscover(id string, req DiscoverRequest, idemKey string) 
 		start := obs.Now()
 		res, err := core.DIMEPlus(snapshot, opts)
 		s.observeJobDuration(obs.Since(start))
-		job.finish(res, err)
+		// Publish the result as the corpus's latest before marking the job
+		// done, so a client that waited for "done" can read the scrollbar.
 		if err == nil {
 			c.mu.Lock()
 			c.last = res
 			c.lastJob = job.ID
 			c.mu.Unlock()
 		}
+		job.finish(res, err)
 	}
 	if err := s.pool.Submit(task); err != nil {
 		return JobJSON{}, err
