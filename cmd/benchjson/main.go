@@ -10,9 +10,16 @@
 // allocs/op grows by more than -max-allocs-regress percent, benchjson exits
 // 2 (after writing the output, so the regressing snapshot is inspectable).
 //
+// Every snapshot carries a stamp of the host it was measured on:
+// GOMAXPROCS (from the benchmark names' -N suffix), the CPU count, the CPU
+// model (from go test's "cpu:" header line) and the Go version — the fields
+// _servebench records — so numbers from different machines are never
+// compared as if they were one.
+//
 // With -history the snapshot is additionally appended as one JSON line
-// ({"unix_ts": ..., "benchmarks": {...}}) to a log file — BENCH_history.jsonl
-// in this repository — building the multi-run record that -trend analyzes.
+// ({"unix_ts": ..., "stamp": {...}, "benchmarks": {...}}) to a log file —
+// BENCH_history.jsonl in this repository — building the multi-run record
+// that -trend analyzes.
 //
 // With -overhead-base and -overhead-probe the freshly parsed snapshot is
 // checked for instrumentation overhead: the probe benchmark's ns/op must be
@@ -22,7 +29,8 @@
 //
 // -trend is a separate mode that reads -history instead of stdin: the
 // newest entry's gated benchmarks are compared against the median of the up
-// to -trend-window preceding entries, which smooths single-run noise. A
+// to -trend-window preceding entries with the same stamp, which smooths
+// single-run noise and never mixes machines. A
 // gated benchmark whose ns/op grew more than -max-ns-regress percent or
 // whose allocs/op grew more than -max-allocs-regress percent over the
 // median exits 2. Benchmarks with fewer than two prior samples are skipped
@@ -48,6 +56,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,24 +73,64 @@ type Result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the output JSON: benchmarks by name.
+// Document is the output JSON: the host stamp and benchmarks by name.
 type Document struct {
+	Stamp      *Stamp            `json:"stamp,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Stamp identifies the host and toolchain a snapshot was measured on.
+type Stamp struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NProc      int    `json:"nproc"`
+	CPUModel   string `json:"cpu_model"`
+	GoVersion  string `json:"go_version"`
+}
+
+// hostStamp stamps the machine benchjson runs on. bench.sh pipes go test
+// straight into benchjson, so it is the machine the benchmarks ran on;
+// parse overrides GOMAXPROCS and the CPU model with what the benchmark
+// output itself reports.
+func hostStamp() Stamp {
+	return Stamp{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc:      runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // historyEntry is one line of the JSONL history log: a snapshot plus the
 // unix timestamp it was recorded at.
 type historyEntry struct {
 	UnixTS     int64             `json:"unix_ts"`
+	Stamp      *Stamp            `json:"stamp,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr, time.Now())) }
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr, time.Now(), hostStamp()))
+}
 
-// run is the testable entry point; now stamps history entries.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer, now time.Time) int {
+// run is the testable entry point; now timestamps history entries and host
+// is the stamp parse completes from the benchmark output.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer, now time.Time, host Stamp) int {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -123,7 +172,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer, now time.Time
 		return 0
 	}
 
-	doc, err := parse(stdin)
+	doc, err := parse(stdin, host)
 	if err != nil {
 		return fail(err)
 	}
@@ -197,7 +246,7 @@ func readSnapshot(path string) (*Document, error) {
 
 // appendHistory adds one timestamped JSONL entry for doc to path.
 func appendHistory(path string, doc *Document, now time.Time) error {
-	line, err := json.Marshal(historyEntry{UnixTS: now.Unix(), Benchmarks: doc.Benchmarks})
+	line, err := json.Marshal(historyEntry{UnixTS: now.Unix(), Stamp: doc.Stamp, Benchmarks: doc.Benchmarks})
 	if err != nil {
 		return err
 	}
@@ -242,17 +291,26 @@ func readHistory(path string) ([]historyEntry, error) {
 }
 
 // trendCheck compares the newest history entry's gated benchmarks against
-// the median of up to window preceding entries and returns the regression
-// messages. Medians smooth out single-run noise, so a regression here means
-// the newest run is slower than the recent norm, not just slower than one
-// lucky prior run. Benchmarks with fewer than two prior samples are skipped.
+// the median of up to window preceding entries with the same stamp and
+// returns the regression messages. Medians smooth out single-run noise, so
+// a regression here means the newest run is slower than the recent norm on
+// the same host, not just slower than one lucky prior run or than a faster
+// machine. Benchmarks with fewer than two prior samples are skipped.
 func trendCheck(entries []historyEntry, gate string, window int, maxNs, maxAllocs float64, w io.Writer) []string {
 	if len(entries) < 2 {
 		fmt.Fprintf(w, "benchjson: trend: %d history entries, nothing to compare\n", len(entries))
 		return nil
 	}
 	latest := entries[len(entries)-1]
-	prior := entries[:len(entries)-1]
+	var prior []historyEntry
+	for _, e := range entries[:len(entries)-1] {
+		if sameStamp(e.Stamp, latest.Stamp) {
+			prior = append(prior, e)
+		}
+	}
+	if skipped := len(entries) - 1 - len(prior); skipped > 0 {
+		fmt.Fprintf(w, "benchjson: trend: skipping %d entries stamped with another host\n", skipped)
+	}
 	if len(prior) > window {
 		prior = prior[len(prior)-window:]
 	}
@@ -297,6 +355,15 @@ func trendCheck(entries []historyEntry, gate string, window int, maxNs, maxAlloc
 		}
 	}
 	return regressions
+}
+
+// sameStamp reports whether two entries come from the same host; unstamped
+// entries only match each other.
+func sameStamp(a, b *Stamp) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
 }
 
 // median returns the middle value (mean of the middle two for even counts).
@@ -376,15 +443,23 @@ func pctDelta(old, cur float64) string {
 }
 
 // parse scans benchmark result lines ("BenchmarkX-8  30  40123 ns/op  ...").
-// Non-benchmark lines (PASS, ok, goos, test log output) are ignored. A
-// benchmark that appears twice keeps the later measurement, matching how a
-// re-run supersedes an earlier one in a concatenated log.
-func parse(r io.Reader) (*Document, error) {
-	doc := &Document{Benchmarks: map[string]Result{}}
+// Non-benchmark lines (PASS, ok, goos, test log output) are ignored, except
+// the "cpu:" header, which names the CPU model of the stamp. A benchmark
+// that appears twice keeps the later measurement, matching how a re-run
+// supersedes an earlier one in a concatenated log. The stamp starts from
+// host; the first benchmark line's -N suffix gives its GOMAXPROCS (no
+// suffix means 1).
+func parse(r io.Reader, host Stamp) (*Document, error) {
+	doc := &Document{Stamp: &host, Benchmarks: map[string]Result{}}
+	procsSeen := false
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu:"); ok {
+			doc.Stamp.CPUModel = strings.TrimSpace(cpu)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -421,6 +496,13 @@ func parse(r io.Reader) (*Document, error) {
 		}
 		if !valid {
 			continue
+		}
+		if !procsSeen {
+			procsSeen = true
+			doc.Stamp.GOMAXPROCS = 1
+			if m := procSuffix.FindString(fields[0]); m != "" {
+				doc.Stamp.GOMAXPROCS, _ = strconv.Atoi(m[1:])
+			}
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
 		doc.Benchmarks[name] = res

@@ -24,7 +24,7 @@ ok  	dime	62.102s
 `
 
 func TestParse(t *testing.T) {
-	doc, err := parse(strings.NewReader(sample))
+	doc, err := parse(strings.NewReader(sample), testHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestParse(t *testing.T) {
 
 func TestParseKeepsLaterDuplicate(t *testing.T) {
 	in := "BenchmarkX-4 10 100 ns/op\nBenchmarkX-4 20 90 ns/op\n"
-	doc, err := parse(strings.NewReader(in))
+	doc, err := parse(strings.NewReader(in), testHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestParseKeepsLaterDuplicate(t *testing.T) {
 
 func TestParseSkipsMalformed(t *testing.T) {
 	in := "BenchmarkBad notanumber 5 ns/op\nBenchmarkAlso-2 3 nan... ns/op extra\nBenchmarkOK-2 3 5 ns/op\n"
-	doc, err := parse(strings.NewReader(in))
+	doc, err := parse(strings.NewReader(in), testHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,68 @@ func TestDiffDeltasAndGate(t *testing.T) {
 	}
 }
 
-// runBenchjson invokes run() with a fixed clock, returning stderr and exit.
+// testHost is the host stamp the tests run benchjson with.
+var testHost = Stamp{GOMAXPROCS: 4, NProc: 4, CPUModel: "host cpu", GoVersion: "go1.0"}
+
+// runBenchjson invokes run() with a fixed clock and host, returning stderr
+// and exit.
 func runBenchjson(t *testing.T, stdin string, args ...string) (string, int) {
 	t.Helper()
 	var stdout, stderr strings.Builder
-	code := run(args, strings.NewReader(stdin), &stdout, &stderr, time.Unix(1754600000, 0))
+	code := run(args, strings.NewReader(stdin), &stdout, &stderr, time.Unix(1754600000, 0), testHost)
 	return stderr.String(), code
+}
+
+// TestParseStamp: the benchmark output's cpu line and -N suffix override
+// the host's CPU model and GOMAXPROCS; the CPU count and Go version come
+// from the host.
+func TestParseStamp(t *testing.T) {
+	doc, err := parse(strings.NewReader(sample), testHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stamp{GOMAXPROCS: 8, NProc: 4, CPUModel: "some cpu", GoVersion: "go1.0"}
+	if doc.Stamp == nil || *doc.Stamp != want {
+		t.Fatalf("stamp = %+v, want %+v", doc.Stamp, want)
+	}
+	// go test omits the suffix at GOMAXPROCS 1.
+	one, err := parse(strings.NewReader("BenchmarkX  10  5 ns/op\n"), testHost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = Stamp{GOMAXPROCS: 1, NProc: 4, CPUModel: "host cpu", GoVersion: "go1.0"}
+	if *one.Stamp != want {
+		t.Fatalf("unsuffixed stamp = %+v, want %+v", one.Stamp, want)
+	}
+}
+
+// TestTrendComparesSameStamp: entries from another host never enter the
+// median, so a slower machine's history cannot hide a regression and a
+// faster one's cannot fake one.
+func TestTrendComparesSameStamp(t *testing.T) {
+	here, there := &Stamp{GOMAXPROCS: 2, NProc: 2, CPUModel: "a", GoVersion: "go1"}, &Stamp{GOMAXPROCS: 8, NProc: 8, CPUModel: "b", GoVersion: "go1"}
+	entry := func(st *Stamp, ns float64) historyEntry {
+		return historyEntry{Stamp: st, Benchmarks: map[string]Result{"B": {NsPerOp: ns, AllocsPerOp: 10}}}
+	}
+	// The fast host's runs would flag the newest run; the same host's
+	// runs are as slow.
+	entries := []historyEntry{entry(there, 10e6), entry(here, 40e6), entry(there, 10e6), entry(here, 41e6), entry(here, 42e6)}
+	var out strings.Builder
+	if got := trendCheck(entries, "B", 5, 15, 25, &out); len(got) != 0 {
+		t.Errorf("cross-host trend flagged: %v", got)
+	}
+	if !strings.Contains(out.String(), "skipping 2 entries stamped with another host") {
+		t.Errorf("missing cross-host note:\n%s", out.String())
+	}
+	// A slow host's runs would hide a regression the same host's show.
+	entries = []historyEntry{entry(there, 90e6), entry(here, 10e6), entry(there, 90e6), entry(here, 10e6), entry(here, 20e6)}
+	if got := trendCheck(entries, "B", 5, 15, 25, &strings.Builder{}); len(got) != 1 {
+		t.Errorf("same-host regression = %v", got)
+	}
+	// An unstamped entry matches only unstamped ones.
+	if sameStamp(nil, here) || !sameStamp(nil, nil) || !sameStamp(here, &Stamp{GOMAXPROCS: 2, NProc: 2, CPUModel: "a", GoVersion: "go1"}) {
+		t.Error("sameStamp mismatch")
+	}
 }
 
 func TestHistoryAppend(t *testing.T) {
@@ -149,6 +205,9 @@ func TestHistoryAppend(t *testing.T) {
 	for i, e := range entries {
 		if e.UnixTS != 1754600000 {
 			t.Errorf("entry %d unix_ts = %d", i, e.UnixTS)
+		}
+		if e.Stamp == nil || e.Stamp.CPUModel != "some cpu" || e.Stamp.GOMAXPROCS != 8 {
+			t.Errorf("entry %d stamp = %+v", i, e.Stamp)
 		}
 		if r := e.Benchmarks["BenchmarkDIMEPlus/nil-probe"]; math.Abs(r.NsPerOp-40262448) > 0.5 {
 			t.Errorf("entry %d ns/op = %g", i, r.NsPerOp)
@@ -323,7 +382,7 @@ func TestMedian(t *testing.T) {
 }
 
 func TestJSONShape(t *testing.T) {
-	doc, err := parse(strings.NewReader(sample))
+	doc, err := parse(strings.NewReader(sample), testHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +399,7 @@ func TestJSONShape(t *testing.T) {
 	}
 
 	// An allocation-free benchmark keeps its explicit zeros.
-	zero, err := parse(strings.NewReader("BenchmarkEditPredicate/ge-0.9/typo-2  1000  250.0 ns/op  0 B/op  0 allocs/op\n"))
+	zero, err := parse(strings.NewReader("BenchmarkEditPredicate/ge-0.9/typo-2  1000  250.0 ns/op  0 B/op  0 allocs/op\n"), testHost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,8 @@
 // invocation starts (every pipeline phase with its attrs, timings and work
 // counters, as depth-tagged pre-order events), keeping only runs at least
 // -flight-threshold long and adding per-span heap-allocation deltas under
-// -flight-resources; -log emits one structured log line per completed
+// -flight-resources (read through runtime.ReadMemStats, a stop-the-world
+// per span boundary); -log emits one structured log line per completed
 // phase to stderr; -serve-debug ADDR serves /debug/pprof/, /debug/vars,
 // /debug/flight and a Prometheus-format /metrics for the duration of the
 // run and then waits for ctrl-c so the endpoints can be inspected.
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics-out", "", "write the final metrics snapshot in Prometheus text format to this file")
 		flightOut  = fs.String("flight-out", "", "write the span trace of every retained run as JSON to this file")
 		flightThr  = fs.Duration("flight-threshold", 0, "flight recorder keeps only runs at least this long (0 keeps all)")
-		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events")
+		flightRes  = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events (each span stops the world twice to read them)")
 		pos        stringsFlag
 		neg        stringsFlag
 	)

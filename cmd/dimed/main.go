@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reqTO     = fs.Duration("request-timeout", 30*time.Second, "per-request deadline; also caps ?wait=true long-polls")
 		grace     = fs.Duration("shutdown-grace", 30*time.Second, "drain budget for queued/running jobs and in-flight requests on shutdown")
 		flightThr = fs.Duration("flight-threshold", 0, "flight recorder keeps only requests/runs at least this slow (0 keeps all)")
-		flightRes = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events")
+		flightRes = fs.Bool("flight-resources", false, "attach per-span heap-allocation deltas to flight-recorder events (each span stops the world twice to read them)")
 
 		chaos       = fs.Bool("chaos", false, "mount deterministic fault-injection middleware (testing only)")
 		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for -chaos fault decisions (same seed + same requests = same faults)")

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"runtime/metrics"
+	"runtime"
 	"time"
 )
 
@@ -25,19 +25,19 @@ func Since(t time.Time) time.Duration { return Now().Sub(t) }
 
 // heapSample is the reusable buffer HeapCounters fills; callers own one each
 // (a zero value is ready to use) so the hot path never allocates.
-type heapSample [2]metrics.Sample
+type heapSample runtime.MemStats
 
 // HeapCounters reads the runtime's cumulative heap allocation counters:
-// objects and bytes allocated since process start. The counters are
-// process-global — a delta taken across a span includes allocations from
-// every concurrently running goroutine — so per-span attribution is exact
-// for single-goroutine phases and an upper bound under concurrency. The
-// buffer is reinitialized lazily so the zero value works.
+// objects and bytes allocated since process start. It reads them through
+// runtime.ReadMemStats, which flushes every P's allocation cache first, so
+// the counts include small objects allocated into still-cached spans (the
+// runtime/metrics allocation counters advance only when a cached span is
+// refilled, which charges one phase's allocations to a later one). The
+// price is a stop-the-world per read. The counters are process-global: a
+// delta taken across a span includes allocations from every concurrently
+// running goroutine, so it is an upper bound on the span's own allocation.
 func (buf *heapSample) HeapCounters() (objects, bytes uint64) {
-	if buf[0].Name == "" {
-		buf[0].Name = "/gc/heap/allocs:objects"
-		buf[1].Name = "/gc/heap/allocs:bytes"
-	}
-	metrics.Read(buf[:])
-	return buf[0].Value.Uint64(), buf[1].Value.Uint64()
+	ms := (*runtime.MemStats)(buf)
+	runtime.ReadMemStats(ms)
+	return ms.Mallocs, ms.TotalAlloc
 }

@@ -64,10 +64,10 @@ type FlightOptions struct {
 	// is shorter is dropped (counted, not stored). 0 keeps every run.
 	Threshold time.Duration
 	// Resources attaches per-span heap-allocation deltas (objects and
-	// bytes, from runtime/metrics) to every event. The counters are
+	// bytes, from runtime.ReadMemStats) to every event. The counters are
 	// process-global, so spans running concurrently with other goroutines
-	// over-attribute; see heapSample.HeapCounters. Costs two runtime metric
-	// reads per span.
+	// over-attribute; see heapSample.HeapCounters. Each span costs two
+	// reads, and every read stops the world.
 	Resources bool
 }
 
@@ -132,8 +132,8 @@ type FlightTrace struct {
 
 // FlightEvent is one span of a retained trace. StartNS is relative to the
 // trace root. AllocObjects/AllocBytes are the heap-allocation deltas across
-// the span when resource attribution is on (process-global counters: exact
-// for single-goroutine phases, an upper bound under concurrency).
+// the span when resource attribution is on (process-global counters, so an
+// upper bound on the span's own allocation when other goroutines run).
 type FlightEvent struct {
 	Name         string          `json:"name"`
 	Attrs        []Attr          `json:"attrs,omitempty"`
@@ -172,6 +172,7 @@ func (fr *FlightRecorder) StartRun(name string, attrs ...Attr) Span {
 	root.Name = name
 	root.Attrs = b.trace.Attrs
 	if fr.resources {
+		b.heap = new(heapSample)
 		root.AllocObjects, root.AllocBytes = b.heap.HeapCounters()
 	}
 	return &flightSpan{b: b, idx: 0, depth: 0, start: b.start}
@@ -183,7 +184,7 @@ type flightBuild struct {
 	fr    *FlightRecorder
 	trace FlightTrace
 	start time.Time
-	heap  heapSample
+	heap  *heapSample // nil unless the recorder attributes resources
 }
 
 // flightSpan is one open span; idx addresses its event in the build's

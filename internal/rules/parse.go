@@ -16,6 +16,7 @@ import (
 //
 // "=" is sugar for a two-sided equality and is accepted only with 0 on
 // overlap predicates (the paper's f_ov(A) = 0 form), where it means "<= 0".
+// Edit-distance (ed) thresholds count edits and must be integers.
 // Attribute names may contain any characters except ')'. Ontology predicates
 // require a tree registered for the attribute in cfg.
 func Parse(cfg *Config, name string, kind Kind, dsl string) (Rule, error) {

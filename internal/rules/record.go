@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"sync"
+	"unicode/utf8"
 
 	"dime/internal/entity"
 	"dime/internal/ontology"
@@ -146,9 +147,49 @@ type Record struct {
 	// Joined[i] holds the attribute's values joined by single spaces, the
 	// view character-based similarity uses.
 	Joined []string
+	// Runes[i] is the rune length of Joined[i], counted once at compilation
+	// so edit predicates never recount it per pair.
+	Runes []int
+	// IDs[i] is attribute i's token set as interned ids. Record compilation
+	// leaves it empty; the signature context holding the record fills it
+	// for every attribute it builds a token space for.
+	IDs []TokenIDs
 	// Nodes[i] is the ontology node attribute i maps to (nil when the
 	// attribute has no tree or the value has no node).
 	Nodes []*ontology.Node
+}
+
+// TokenIDs is one attribute's distinct tokens as ids of an interned token
+// space, the view set predicates verify on. Two records compare on ids only
+// when both views come from the same space.
+type TokenIDs struct {
+	// Space is the interner the ids come from; nil when no space holds the
+	// record's tokens.
+	Space *tokenize.Interner
+	// IDs are the distinct token ids in the space's global order.
+	IDs []int32
+}
+
+// RuneLen returns the rune length of Joined[attr]: the compiled count, or a
+// fresh count for a record built without compilation.
+func (r *Record) RuneLen(attr int) int {
+	if attr < len(r.Runes) {
+		return r.Runes[attr]
+	}
+	return utf8.RuneCountInString(r.Joined[attr])
+}
+
+// idsOf returns the id views of an attribute on two records when both come
+// from one space.
+func idsOf(a, b *Record, attr int) (space *tokenize.Interner, x, y []int32, ok bool) {
+	if attr >= len(a.IDs) || attr >= len(b.IDs) {
+		return nil, nil, nil, false
+	}
+	va, vb := a.IDs[attr], b.IDs[attr]
+	if va.Space == nil || va.Space != vb.Space {
+		return nil, nil, nil, false
+	}
+	return va.Space, va.IDs, vb.IDs, true
 }
 
 // NewRecord compiles an entity into a Record under the config.
@@ -161,6 +202,8 @@ func (c *Config) NewRecord(e *entity.Entity) (*Record, error) {
 		Index:  -1,
 		Tokens: make([][]string, c.attrCount),
 		Joined: make([]string, c.attrCount),
+		Runes:  make([]int, c.attrCount),
+		IDs:    make([]TokenIDs, c.attrCount),
 		Nodes:  make([]*ontology.Node, c.attrCount),
 	}
 	if err := c.fillRecord(r, e); err != nil {
@@ -169,8 +212,8 @@ func (c *Config) NewRecord(e *entity.Entity) (*Record, error) {
 	return r, nil
 }
 
-// fillRecord compiles e into r, whose Tokens/Joined/Nodes slices are already
-// sized to the schema's attribute count.
+// fillRecord compiles e into r, whose Tokens/Joined/Runes/IDs/Nodes slices
+// are already sized to the schema's attribute count.
 func (c *Config) fillRecord(r *Record, e *entity.Entity) error {
 	if len(e.Values) != c.attrCount {
 		return fmt.Errorf("rules: entity %q has %d attributes, schema has %d",
@@ -178,6 +221,7 @@ func (c *Config) fillRecord(r *Record, e *entity.Entity) error {
 	}
 	for i, values := range e.Values {
 		r.Joined[i] = e.Joined(i)
+		r.Runes[i] = utf8.RuneCountInString(r.Joined[i])
 		switch c.modeAt[i] {
 		case WordsMode:
 			r.Tokens[i] = tokenize.Set(r.Joined[i])
@@ -200,9 +244,9 @@ func (c *Config) fillRecord(r *Record, e *entity.Entity) error {
 }
 
 // NewRecords compiles a whole group, setting Index on every record. The
-// record structs and their per-attribute slice headers come from three
-// group-wide arenas, so compiling n records costs O(1) container allocations
-// instead of O(n·attrs).
+// record structs and their per-attribute slice headers come from group-wide
+// arenas, so compiling n records costs O(1) container allocations instead
+// of O(n·attrs).
 func (c *Config) NewRecords(g *entity.Group) ([]*Record, error) {
 	if !c.Schema.Equal(g.Schema) {
 		return nil, fmt.Errorf("rules: group %q schema does not match config schema", g.Name)
@@ -216,6 +260,8 @@ func (c *Config) NewRecords(g *entity.Group) ([]*Record, error) {
 	backing := make([]Record, n)
 	tokens := make([][]string, n*na)
 	joined := make([]string, n*na)
+	runes := make([]int, n*na)
+	ids := make([]TokenIDs, n*na)
 	nodes := make([]*ontology.Node, n*na)
 	for i, e := range g.Entities {
 		r := &backing[i]
@@ -223,6 +269,8 @@ func (c *Config) NewRecords(g *entity.Group) ([]*Record, error) {
 		r.Index = i
 		r.Tokens = tokens[i*na : (i+1)*na : (i+1)*na]
 		r.Joined = joined[i*na : (i+1)*na : (i+1)*na]
+		r.Runes = runes[i*na : (i+1)*na : (i+1)*na]
+		r.IDs = ids[i*na : (i+1)*na : (i+1)*na]
 		r.Nodes = nodes[i*na : (i+1)*na : (i+1)*na]
 		if err := c.fillRecord(r, e); err != nil {
 			return nil, err

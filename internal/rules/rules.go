@@ -104,17 +104,20 @@ type Predicate struct {
 func (p Predicate) Similarity(a, b *Record) float64 {
 	switch p.Fn {
 	case Overlap:
-		return float64(sim.Overlap(a.Tokens[p.Attr], b.Tokens[p.Attr]))
+		ov, _, _ := setCounts(a, b, p.Attr)
+		return float64(ov)
 	case Jaccard:
-		return sim.Jaccard(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.JaccardOf(setCounts(a, b, p.Attr))
 	case Dice:
-		return sim.Dice(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.DiceOf(setCounts(a, b, p.Attr))
 	case Cosine:
-		return sim.Cosine(a.Tokens[p.Attr], b.Tokens[p.Attr])
+		return sim.CosineOf(setCounts(a, b, p.Attr))
 	case EditSim:
-		return sim.EditSimilarity(a.Joined[p.Attr], b.Joined[p.Attr])
+		return sim.EditSimilarityLen(a.Joined[p.Attr], b.Joined[p.Attr], a.RuneLen(p.Attr), b.RuneLen(p.Attr))
 	case EditDist:
-		return float64(sim.EditDistance(a.Joined[p.Attr], b.Joined[p.Attr]))
+		na, nb := a.RuneLen(p.Attr), b.RuneLen(p.Attr)
+		d, _ := sim.EditDistanceBoundedLen(a.Joined[p.Attr], b.Joined[p.Attr], na, nb, max(na, nb))
+		return float64(d)
 	case Ontology:
 		if p.Tree == nil {
 			return 0
@@ -125,26 +128,40 @@ func (p Predicate) Similarity(a, b *Record) float64 {
 	}
 }
 
+// setCounts returns the overlap and the set sizes of an attribute's token
+// sets: a merge over interned ids when both records hold ids of one space,
+// the token strings otherwise. Both give the same counts.
+func setCounts(a, b *Record, attr int) (ov, da, db int) {
+	if space, x, y, ok := idsOf(a, b, attr); ok {
+		return space.Overlap(x, y), len(x), len(y)
+	}
+	ta, tb := a.Tokens[attr], b.Tokens[attr]
+	return sim.Overlap(ta, tb), sim.Distinct(ta), sim.Distinct(tb)
+}
+
 // Eval reports whether the predicate holds between two records. EditDist
 // with Op GE/LE compares the raw distance; all other functions compare the
-// similarity value. Both edit functions verify with the banded kernel:
-// EditSim turns its threshold into the equivalent distance bound, so its
-// verdict equals comparing Similarity against the threshold.
+// similarity value. Both edit functions take the rune lengths from the
+// records and verify with the banded kernel, which rejects lengths further
+// apart than the distance bound without reading the strings: EditSim turns
+// its threshold into the equivalent distance bound, so its verdict equals
+// comparing Similarity against the threshold.
 func (p Predicate) Eval(a, b *Record) bool {
 	switch p.Fn {
 	case EditDist:
 		bound := int(p.Threshold)
-		d, within := sim.EditDistanceBounded(a.Joined[p.Attr], b.Joined[p.Attr], bound)
+		d, within := sim.EditDistanceBoundedLen(a.Joined[p.Attr], b.Joined[p.Attr], a.RuneLen(p.Attr), b.RuneLen(p.Attr), bound)
 		if p.Op == LE {
 			return within && d <= bound
 		}
 		// GE over a distance: "at least θ edits apart".
 		return !within || d >= bound
 	case EditSim:
+		ja, jb, na, nb := a.Joined[p.Attr], b.Joined[p.Attr], a.RuneLen(p.Attr), b.RuneLen(p.Attr)
 		if p.Op == GE {
-			return sim.EditSimilarityAtLeast(a.Joined[p.Attr], b.Joined[p.Attr], p.Threshold)
+			return sim.EditSimilarityAtLeastLen(ja, jb, na, nb, p.Threshold)
 		}
-		return sim.EditSimilarityAtMost(a.Joined[p.Attr], b.Joined[p.Attr], p.Threshold)
+		return sim.EditSimilarityAtMostLen(ja, jb, na, nb, p.Threshold)
 	}
 	s := p.Similarity(a, b)
 	// Epsilon-tolerant comparisons: a similarity that is mathematically equal
@@ -293,6 +310,12 @@ func (rs RuleSet) Validate(schema *entity.Schema) error {
 				// NaN compares false with everything and ±Inf can never be
 				// crossed, so such predicates silently evaluate to a constant.
 				return fmt.Errorf("rules: rule %q: non-finite threshold %g", r.Name, p.Threshold)
+			}
+			// Eval bounds the distance by the integer part, so a fractional
+			// bound would disagree with Similarity.
+			//lint:ignore float-threshold integrality is an exact property of the value, not a similarity comparison
+			if p.Fn == EditDist && p.Threshold != math.Trunc(p.Threshold) {
+				return fmt.Errorf("rules: rule %q: edit-distance threshold %g is not an integer", r.Name, p.Threshold)
 			}
 		}
 		return nil

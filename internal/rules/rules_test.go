@@ -202,6 +202,29 @@ func TestRuleSetValidate(t *testing.T) {
 	}
 }
 
+// TestEditDistanceThresholdMustBeInteger pins that ed thresholds are
+// integers. Eval bounds the distance by the threshold's integer part, so
+// ed(Title) >= 2.5 would hold for a pair at distance 2 while its Similarity,
+// 2, is below 2.5.
+func TestEditDistanceThresholdMustBeInteger(t *testing.T) {
+	cfg := testConfig()
+	for _, dsl := range []string{"ed(Title) >= 2.5", "ed(Title) <= 0.5", "ed(Title) <= 1e-3"} {
+		if _, err := Parse(cfg, "r", Positive, dsl); err == nil {
+			t.Errorf("Parse(%q) accepted a fractional edit-distance threshold", dsl)
+		}
+	}
+	for _, dsl := range []string{"ed(Title) >= 2", "ed(Title) <= 0", "eds(Title) >= 0.5"} {
+		if _, err := Parse(cfg, "r", Positive, dsl); err != nil {
+			t.Errorf("Parse(%q): %v", dsl, err)
+		}
+	}
+	p := Predicate{Attr: 0, AttrName: "Title", Fn: EditDist, Op: GE, Threshold: 2.5}
+	rs := RuleSet{Positive: []Rule{{Name: "r", Kind: Positive, Predicates: []Predicate{p}}}}
+	if err := rs.Validate(testSchema); err == nil {
+		t.Error("Validate accepted ed(Title) >= 2.5")
+	}
+}
+
 func TestPredicateCostModel(t *testing.T) {
 	cfg := testConfig()
 	a := mustRecord(t, cfg, "a", "short", []string{"X", "Y"}, "SIGMOD")

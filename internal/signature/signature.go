@@ -21,7 +21,6 @@ package signature
 import (
 	"fmt"
 	"math"
-	"unicode/utf8"
 
 	"dime/internal/ontology"
 	"dime/internal/rules"
@@ -46,17 +45,26 @@ const Universal int32 = -1
 // subslice of it. Ontology signatures intern the signature node's path
 // string, so equal paths share an id whichever tree value carries them.
 //
+// The token id lists are also what set predicates verify on: building a
+// token space hands every record of the context its list as the record's
+// id view (rules.Record.IDs), and Append does the same for a late record,
+// so tokens are interned once per group and pairs count shared tokens on
+// ids.
+//
 // Concurrency: after NewContext returns, the context is read-only for every
 // predicate of the rule set it was built with and every record it holds —
 // NewContext precomputes the spaces, τ_min values, ontology depth floors
 // and per-record signature sets those predicates need, so Signatures,
 // RuleSignatures and the NegFilter/PosIndex methods built on them may be
 // called from multiple goroutines concurrently (parallel DIME+ relies on
-// this). Three exceptions, all single-goroutine by contract: Signatures on
-// a predicate *outside* the original rule set may lazily build a space;
-// Signatures on a record the context does not hold interns that record's
-// unseen tokens; and the incremental Append/Accepts path mutates the
-// context. None may run concurrently with other context use.
+// this). NewContext writes its records' id views, so it must not run while
+// another goroutine evaluates predicates on those records. Three
+// exceptions, all single-goroutine by contract: Signatures on a predicate
+// *outside* the original rule set may lazily build a space (writing the
+// records' id views of its attribute); Signatures on a record the context
+// does not hold interns that record's unseen tokens; and the incremental
+// Append/Accepts path mutates the context. None may run concurrently with
+// other context use or with predicate evaluation on the context's records.
 type Context struct {
 	tokens   []*space             // per attribute: nil until a set predicate signs it
 	grams    []*space             // one per (attribute, q) an edit predicate signs
@@ -180,7 +188,20 @@ func (c *Context) tokenSpace(attr int) *space {
 	sp := &space{attr: attr}
 	sp.in, sp.ids = b.Build()
 	c.tokens[attr] = sp
+	for i, r := range c.records {
+		sp.view(r, sp.ids[i])
+	}
 	return sp
+}
+
+// view hands a record of the context its id list of a token space, the
+// view set predicates verify on. Records built without compilation have no
+// IDs slots and keep the string path.
+func (sp *space) view(r *rules.Record, ids []int32) {
+	if sp.attr < len(r.IDs) {
+		v := &r.IDs[sp.attr]
+		v.Space, v.IDs = sp.in, ids
+	}
 }
 
 func qOf(p rules.Predicate) int {
@@ -378,7 +399,7 @@ func overlapBound(fn rules.Func, theta float64, n int) int {
 // gram among the first q·b+1 distinct grams (Gravano et al.).
 func (c *Context) gramSignatures(p rules.Predicate, r *rules.Record) []int32 {
 	q := qOf(p)
-	bound := editBound(p, utf8.RuneCountInString(r.Joined[p.Attr]))
+	bound := editBound(p, r.RuneLen(p.Attr))
 	if bound < 0 {
 		// Dissimilar side with σ ≤ 0 edits: the predicate is trivially true
 		// against every partner; a bound of 0 keeps exact-match pruning.

@@ -13,7 +13,8 @@ const stackRunes = 64
 // so invalid UTF-8 sequences collapse to U+FFFD before comparison (distinct
 // invalid byte sequences are therefore equal).
 func EditDistance(a, b string) int {
-	d, _ := EditDistanceBounded(a, b, maxRunes(a, b))
+	na, nb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	d, _ := EditDistanceBoundedLen(a, b, na, nb, max(na, nb))
 	return d
 }
 
@@ -31,10 +32,18 @@ func EditWithin(a, b string, theta int) bool {
 // the diagonal has width 2·bound+1. It allocates nothing on the heap while
 // the shorter string has at most stackRunes runes.
 func EditDistanceBounded(a, b string, bound int) (int, bool) {
+	return EditDistanceBoundedLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b), bound)
+}
+
+// EditDistanceBoundedLen is EditDistanceBounded for callers that already
+// know the rune lengths na of a and nb of b (compiled records carry them).
+// Lengths that differ by more than bound are rejected in O(1), before
+// either string is read.
+func EditDistanceBoundedLen(a, b string, na, nb, bound int) (int, bool) {
 	if bound < 0 {
 		return 0, false
 	}
-	n, lb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	n, lb := na, nb
 	if n > lb {
 		a, b, n, lb = b, a, lb, n
 	}
@@ -128,21 +137,45 @@ func EditDistanceBounded(a, b string, bound int) (int, bool) {
 // 1 − ED(a, b) / max(|a|, |b|), a value in [0, 1]. Two empty strings have
 // similarity 1.
 func EditSimilarity(a, b string) float64 {
-	return similarityAt(EditDistance(a, b), maxRunes(a, b))
+	return EditSimilarityLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b))
+}
+
+// EditSimilarityLen is EditSimilarity for known rune lengths na and nb.
+func EditSimilarityLen(a, b string, na, nb int) float64 {
+	m := max(na, nb)
+	d, _ := EditDistanceBoundedLen(a, b, na, nb, m)
+	return similarityAt(d, m)
 }
 
 // EditSimilarityAtLeast reports AtLeast(EditSimilarity(a, b), θ) without
 // computing the full distance: θ becomes the largest distance bound that
 // still satisfies it, and the banded kernel decides.
 func EditSimilarityAtLeast(a, b string, theta float64) bool {
-	return EditWithin(a, b, similarityBound(maxRunes(a, b), theta, true))
+	return EditSimilarityAtLeastLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b), theta)
+}
+
+// EditSimilarityAtLeastLen is EditSimilarityAtLeast for known rune lengths
+// na and nb.
+func EditSimilarityAtLeastLen(a, b string, na, nb int, theta float64) bool {
+	return editWithinLen(a, b, na, nb, similarityBound(max(na, nb), theta, true))
 }
 
 // EditSimilarityAtMost reports AtMost(EditSimilarity(a, b), σ) the same way:
 // the similarity exceeds σ exactly when the distance is within the largest
 // bound whose similarity still exceeds σ.
 func EditSimilarityAtMost(a, b string, sigma float64) bool {
-	return !EditWithin(a, b, similarityBound(maxRunes(a, b), sigma, false))
+	return EditSimilarityAtMostLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b), sigma)
+}
+
+// EditSimilarityAtMostLen is EditSimilarityAtMost for known rune lengths na
+// and nb.
+func EditSimilarityAtMostLen(a, b string, na, nb int, sigma float64) bool {
+	return !editWithinLen(a, b, na, nb, similarityBound(max(na, nb), sigma, false))
+}
+
+func editWithinLen(a, b string, na, nb, bound int) bool {
+	d, ok := EditDistanceBoundedLen(a, b, na, nb, bound)
+	return ok && d <= bound
 }
 
 // similarityBound returns the largest edit distance d in [0, m] whose
@@ -181,8 +214,4 @@ func similarityAt(d, m int) float64 {
 		return 1
 	}
 	return 1 - float64(d)/float64(m)
-}
-
-func maxRunes(a, b string) int {
-	return max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 }

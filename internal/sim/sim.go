@@ -5,6 +5,16 @@
 //
 // All functions are pure and allocation-light; the verification-cost models
 // from Section IV-C of the paper live next to the functions they describe.
+//
+// Each function has two entry points. The string forms (Overlap, Jaccard,
+// EditSimilarityAtLeast, ...) take token lists and values as they are; the
+// set-size forms (JaccardOf, DiceOf, CosineOf) and the known-length forms
+// (EditDistanceBoundedLen, EditSimilarityAtLeastLen, ...) take what a
+// compiled record already carries — an overlap and set sizes from its
+// interned token ids, the rune lengths of its values — so verifying a pair
+// re-derives neither. Both forms compute the same values with the same
+// arithmetic, so verdicts, float ties and Epsilon do not depend on which
+// one a caller uses.
 package sim
 
 import "math"
@@ -50,11 +60,11 @@ func Overlap(a, b []string) int {
 // Jaccard returns |a ∩ b| / |a ∪ b| over the token sets. Two empty sets have
 // similarity 1; one empty set against a non-empty one has similarity 0.
 func Jaccard(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
-	if da == 0 && db == 0 {
-		return 1
-	}
-	ov := Overlap(a, b)
+	return JaccardOf(Overlap(a, b), Distinct(a), Distinct(b))
+}
+
+// JaccardOf is Jaccard for sets of sizes da and db sharing ov elements.
+func JaccardOf(ov, da, db int) float64 {
 	union := da + db - ov
 	if union == 0 {
 		return 1
@@ -64,26 +74,35 @@ func Jaccard(a, b []string) float64 {
 
 // Dice returns 2|a ∩ b| / (|a| + |b|) over the token sets.
 func Dice(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
+	return DiceOf(Overlap(a, b), Distinct(a), Distinct(b))
+}
+
+// DiceOf is Dice for sets of sizes da and db sharing ov elements.
+func DiceOf(ov, da, db int) float64 {
 	if da+db == 0 {
 		return 1
 	}
-	return 2 * float64(Overlap(a, b)) / float64(da+db)
+	return 2 * float64(ov) / float64(da+db)
 }
 
 // Cosine returns |a ∩ b| / sqrt(|a|·|b|) over the token sets.
 func Cosine(a, b []string) float64 {
-	da, db := dedupCount(a), dedupCount(b)
+	return CosineOf(Overlap(a, b), Distinct(a), Distinct(b))
+}
+
+// CosineOf is Cosine for sets of sizes da and db sharing ov elements.
+func CosineOf(ov, da, db int) float64 {
 	if da == 0 && db == 0 {
 		return 1
 	}
 	if da == 0 || db == 0 {
 		return 0
 	}
-	return float64(Overlap(a, b)) / sqrtProduct(da, db)
+	return float64(ov) / sqrtProduct(da, db)
 }
 
-func dedupCount(a []string) int {
+// Distinct returns the number of distinct tokens in a: a set's size.
+func Distinct(a []string) int {
 	if len(a) < 2 {
 		return len(a)
 	}

@@ -346,3 +346,31 @@ func (in *Interner) AppendDoc(dst []int32, doc []string) []int32 {
 	in.Sort(dst[start:])
 	return dst[:start+len(slices.Compact(dst[start:]))]
 }
+
+// Overlap returns the number of ids two documents of the space share. Both
+// lists must be distinct ids in global order, as Build and AppendDoc return
+// them. The merge walk compares ids as integers, which is the global order
+// except between two ids interned after Build; only those compare through
+// their tokens.
+func (in *Interner) Overlap(a, b []int32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if x == y {
+			n++
+			i++
+			j++
+			continue
+		}
+		less := x < y
+		if x >= in.ranked && y >= in.ranked {
+			less = strings.Compare(in.tokens[x], in.tokens[y]) < 0
+		}
+		if less {
+			i++
+		} else {
+			j++
+		}
+	}
+	return n
+}

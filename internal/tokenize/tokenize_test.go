@@ -348,3 +348,36 @@ func TestInternerCompareTotalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInternerOverlap: the merge intersection counts shared tokens like a
+// set intersection, for ranked ids, for ids interned after Build (whose
+// global order is by token, not by id) and for lists mixing both.
+func TestInternerOverlap(t *testing.T) {
+	b := NewBuilder(3, 8)
+	for _, doc := range [][]string{{"a", "b", "c"}, {"b", "c"}, {"c", "d"}} {
+		b.Add(doc)
+	}
+	in, _ := b.Build()
+	// Interned in reverse token order, so late ids and token order disagree.
+	for _, t := range []string{"z", "y", "x"} {
+		in.Intern(t)
+	}
+	docs := [][]string{
+		{"a", "b", "c", "d"}, {"c", "d"}, {"x", "y", "z"}, {"z", "x"},
+		{"a", "x", "c", "y"}, {"y", "d", "b"}, {}, {"q", "a", "x"},
+	}
+	for _, da := range docs {
+		for _, db := range docs {
+			want := 0
+			for _, tok := range Dedup(da) {
+				if slices.Contains(db, tok) {
+					want++
+				}
+			}
+			x, y := in.AppendDoc(nil, da), in.AppendDoc(nil, db)
+			if got := in.Overlap(x, y); got != want {
+				t.Errorf("Overlap(%q, %q) = %d (ids %v, %v), want %d", da, db, got, x, y, want)
+			}
+		}
+	}
+}

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # check.sh is the repository's full verification gate: build, vet, the
 # dimelint invariant analyzers, the race-enabled test suite, and a short
-# fuzz smoke on the parser/DP/differential fuzz targets. CI and pre-merge
-# runs should invoke exactly this script (or `make check`, which delegates
-# here).
+# fuzz smoke on the parser, edit-DP, id-path verification and differential
+# fuzz targets. CI and pre-merge runs should invoke exactly this script (or
+# `make check`, which delegates here).
 #
 # The race-enabled suite includes the differential harness at the repo root
 # (dime_difftest_test.go), which runs DIME+ with IntraWorkers of 2 and 4 over
@@ -54,6 +54,7 @@ go test -race ./...
 echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -run=NONE -fuzz=FuzzParseRule -fuzztime="${FUZZTIME}" ./internal/rules
 go test -run=NONE -fuzz=FuzzEditDistance -fuzztime="${FUZZTIME}" ./internal/sim
+go test -run=NONE -fuzz=FuzzVerifyIDPath -fuzztime="${FUZZTIME}" ./internal/signature
 go test -run=NONE -fuzz=FuzzDiffDIMEPlus -fuzztime="${FUZZTIME}" .
 
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
