@@ -23,8 +23,9 @@ func Now() time.Time {
 // Since returns the time elapsed since t, using the monotonic clock via Now.
 func Since(t time.Time) time.Duration { return Now().Sub(t) }
 
-// heapSample is the reusable buffer HeapCounters fills; callers own one each
-// (a zero value is ready to use) so the hot path never allocates.
+// heapSample is the buffer HeapCounters fills; a recorder run that
+// attributes resources owns one and reuses it for every read (a zero value
+// is ready to use).
 type heapSample runtime.MemStats
 
 // HeapCounters reads the runtime's cumulative heap allocation counters:

@@ -179,19 +179,6 @@ func (r *Record) RuneLen(attr int) int {
 	return utf8.RuneCountInString(r.Joined[attr])
 }
 
-// idsOf returns the id views of an attribute on two records when both come
-// from one space.
-func idsOf(a, b *Record, attr int) (space *tokenize.Interner, x, y []int32, ok bool) {
-	if attr >= len(a.IDs) || attr >= len(b.IDs) {
-		return nil, nil, nil, false
-	}
-	va, vb := a.IDs[attr], b.IDs[attr]
-	if va.Space == nil || va.Space != vb.Space {
-		return nil, nil, nil, false
-	}
-	return va.Space, va.IDs, vb.IDs, true
-}
-
 // NewRecord compiles an entity into a Record under the config.
 func (c *Config) NewRecord(e *entity.Entity) (*Record, error) {
 	if err := c.compile(); err != nil {

@@ -132,8 +132,10 @@ func (p Predicate) Similarity(a, b *Record) float64 {
 // sets: a merge over interned ids when both records hold ids of one space,
 // the token strings otherwise. Both give the same counts.
 func setCounts(a, b *Record, attr int) (ov, da, db int) {
-	if space, x, y, ok := idsOf(a, b, attr); ok {
-		return space.Overlap(x, y), len(x), len(y)
+	if attr < len(a.IDs) && attr < len(b.IDs) {
+		if x, y := a.IDs[attr], b.IDs[attr]; x.Space != nil && x.Space == y.Space {
+			return x.Space.Overlap(x.IDs, y.IDs), len(x.IDs), len(y.IDs)
+		}
 	}
 	ta, tb := a.Tokens[attr], b.Tokens[attr]
 	return sim.Overlap(ta, tb), sim.Distinct(ta), sim.Distinct(tb)

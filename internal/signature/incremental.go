@@ -54,9 +54,9 @@ func (c *Context) Accepts(rec *rules.Record, rs rules.RuleSet) bool {
 
 // Append registers a new record with the context so signature generation can
 // use its cached id lists and per-predicate signature sets, and hands the
-// record its token id views for verification. Tokens and grams
-// the context has not seen get ids after every ranked one (see
-// tokenize.Interner), so the global order stays the same order. The caller
+// record its token id views for verification. Tokens and grams the context
+// has not seen get ids after every ranked one (see tokenize.Interner), so
+// the global order stays the same order. The caller
 // must have verified Accepts first, and must have set rec.Index to the
 // current record count.
 func (c *Context) Append(rec *rules.Record) {

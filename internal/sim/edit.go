@@ -23,8 +23,7 @@ func EditDistance(a, b string) int {
 // is the verification routine for character-based predicates. θ < 0 always
 // reports false.
 func EditWithin(a, b string, theta int) bool {
-	d, ok := EditDistanceBounded(a, b, theta)
-	return ok && d <= theta
+	return editWithinLen(a, b, utf8.RuneCountInString(a), utf8.RuneCountInString(b), theta)
 }
 
 // EditDistanceBounded computes the edit distance if it is ≤ bound, returning
