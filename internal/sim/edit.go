@@ -156,7 +156,7 @@ func EditSimilarityAtLeast(a, b string, theta float64) bool {
 // EditSimilarityAtLeastLen is EditSimilarityAtLeast for known rune lengths
 // na and nb.
 func EditSimilarityAtLeastLen(a, b string, na, nb int, theta float64) bool {
-	return editWithinLen(a, b, na, nb, similarityBound(max(na, nb), theta, true))
+	return editWithinLen(a, b, na, nb, SimilarityBound(max(na, nb), theta, true))
 }
 
 // EditSimilarityAtMost reports AtMost(EditSimilarity(a, b), σ) the same way:
@@ -169,7 +169,7 @@ func EditSimilarityAtMost(a, b string, sigma float64) bool {
 // EditSimilarityAtMostLen is EditSimilarityAtMost for known rune lengths na
 // and nb.
 func EditSimilarityAtMostLen(a, b string, na, nb int, sigma float64) bool {
-	return !editWithinLen(a, b, na, nb, similarityBound(max(na, nb), sigma, false))
+	return !editWithinLen(a, b, na, nb, SimilarityBound(max(na, nb), sigma, false))
 }
 
 func editWithinLen(a, b string, na, nb, bound int) bool {
@@ -177,14 +177,16 @@ func editWithinLen(a, b string, na, nb, bound int) bool {
 	return ok && d <= bound
 }
 
-// similarityBound returns the largest edit distance d in [0, m] whose
-// similarity similarityAt(d, m) passes the threshold test — AtLeast(s, t)
-// when atLeast, else s above AtMost's tolerance — or −1 when none does.
-// Both tests are monotone in d, so the estimate ⌊(1−t)·m⌋ is corrected by
-// stepping with the exact expression EditSimilarity evaluates: the bound
-// gives the same verdict as comparing the similarity, float ties and
-// Epsilon included.
-func similarityBound(m int, t float64, atLeast bool) int {
+// SimilarityBound returns the largest edit distance d in [0, m] whose
+// similarity 1 − d/m (1 when m = 0) passes the threshold test —
+// AtLeast(s, t) when atLeast, else s above AtMost's tolerance — or −1 when
+// none does. Both tests are monotone in d, so the estimate ⌊(1−t)·m⌋ is
+// corrected by stepping with the exact expression EditSimilarity
+// evaluates: the bound gives the same verdict as comparing the similarity,
+// float ties and Epsilon included. It is the bound the EditSimilarityAtLeast
+// and AtMost verdicts use, so filters sized from it agree with them. The
+// bound never decreases as m grows, and grows by at most one per unit of m.
+func SimilarityBound(m int, t float64, atLeast bool) int {
 	d := 0
 	if f := (1 - t) * float64(m); f >= float64(m) {
 		d = m

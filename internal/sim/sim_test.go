@@ -254,3 +254,40 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSimilarityBoundSteps: SimilarityBound is the largest distance whose
+// similarity passes the test, and as the longer length m grows it never
+// drops and rises by at most one — the two facts length and segment
+// filters sized from it rely on. Thresholds include exact ties 1 − d/m and
+// values half an Epsilon around them.
+func TestSimilarityBoundSteps(t *testing.T) {
+	thetas := []float64{-0.5, 0, 1e-10, 0.3, 0.5, 0.6, 0.75, 0.9, 1, 1 + Epsilon/2, 1.5}
+	for _, tie := range []float64{1 - 1.0/7, 1 - 2.0/9, 1 - 1.0/10, 1 - 3.0/11} {
+		thetas = append(thetas, tie, tie-Epsilon/2, tie+Epsilon/2)
+	}
+	for _, theta := range thetas {
+		for _, atLeast := range []bool{true, false} {
+			prev := 0
+			for m := 0; m <= 200; m++ {
+				want := -1
+				for d := 0; d <= m; d++ {
+					s := 1.0
+					if m > 0 {
+						s = 1 - float64(d)/float64(m)
+					}
+					if (atLeast && AtLeast(s, theta)) || (!atLeast && !AtMost(s, theta)) {
+						want = d
+					}
+				}
+				got := SimilarityBound(m, theta, atLeast)
+				if got != want {
+					t.Fatalf("SimilarityBound(%d, %v, %v) = %d, want %d", m, theta, atLeast, got, want)
+				}
+				if m > 0 && prev >= 0 && (got < prev || got > prev+1) {
+					t.Fatalf("θ=%v atLeast=%v: bound %d at m=%d after %d at m=%d", theta, atLeast, got, m, prev, m-1)
+				}
+				prev = got
+			}
+		}
+	}
+}
