@@ -87,15 +87,61 @@ func (c *Context) Append(rec *rules.Record) {
 func (ix *PosIndex) Add(ctx *Context, rec *rules.Record) []Candidate {
 	ri := ix.n
 	ix.n++
-	ix.sigCounts = append(ix.sigCounts, 0)
+	var matched []int
+	if ix.seg == nil {
+		matched = ix.postingPartners(ctx, rec)
+	}
 
-	// Choose the probe predicate: the one where the new record is not a
-	// wildcard and its signature lists are shortest.
+	// Register the new record in every predicate, then count what each
+	// matched partner shares with it.
+	ix.sigCounts = append(ix.sigCounts, 0)
+	for pi, p := range ix.Rule.Predicates {
+		pd := &ix.perPred[pi]
+		sigs := ctx.Signatures(p, rec)
+		ix.sigCounts[ri] += len(sigs)
+		wild := isUniversal(sigs)
+		pd.isWild = append(pd.isWild, wild)
+		if wild {
+			pd.wildcards = append(pd.wildcards, ri)
+			pd.sigs = append(pd.sigs, nil)
+			continue
+		}
+		pd.sigs = append(pd.sigs, sigs)
+		for _, id := range sigs {
+			if pd.unlisted {
+				pd.reserve(id) // the marks follow the id table
+				continue
+			}
+			l := pd.list(id)
+			*l = append(*l, ri)
+		}
+	}
+	ix.cover(&ix.added)
+
+	var out []Candidate
+	if ix.seg != nil {
+		ix.seg.add(ri, rec)
+		ix.segCandidates(&ix.added, ri, func(c Candidate) { out = append(out, c) })
+		return out
+	}
+	ix.fix(&ix.added, ri)
+	for _, other := range matched {
+		if shared, ok := ix.shared(&ix.added, other); ok {
+			out = append(out, Candidate{I: other, J: ri, Shared: shared})
+		}
+	}
+	return out
+}
+
+// postingPartners returns, ascending, the indexed records that share a
+// signature with a new record on its probe predicate: the one where the
+// record is not a wildcard and its posting lists are shortest. A record
+// that is a wildcard on every predicate pairs with every indexed record.
+func (ix *PosIndex) postingPartners(ctx *Context, rec *rules.Record) []int {
 	probe := -1
 	probeCost := int(^uint(0) >> 1)
 	for pi, p := range ix.Rule.Predicates {
 		sigs := ctx.Signatures(p, rec)
-		ix.sigCounts[ri] += len(sigs)
 		if isUniversal(sigs) {
 			continue
 		}
@@ -108,51 +154,19 @@ func (ix *PosIndex) Add(ctx *Context, rec *rules.Record) []Candidate {
 			probe, probeCost = pi, cost
 		}
 	}
-
-	var matched []int
 	if probe < 0 {
-		// Wildcard on every predicate: the new record pairs with everyone.
-		matched = make([]int, ri)
+		matched := make([]int, len(ix.sigCounts))
 		for i := range matched {
 			matched[i] = i
 		}
-	} else {
-		pd := &ix.perPred[probe]
-		matched = make([]int, 0, probeCost)
-		for _, id := range ctx.Signatures(ix.Rule.Predicates[probe], rec) {
-			matched = append(matched, pd.posting(id)...)
-		}
-		matched = append(matched, pd.wildcards...)
-		slices.Sort(matched)
-		matched = slices.Compact(matched)
+		return matched
 	}
-
-	// Register the new record in every predicate, then count what each
-	// matched partner shares with it.
-	for pi, p := range ix.Rule.Predicates {
-		pd := &ix.perPred[pi]
-		sigs := ctx.Signatures(p, rec)
-		wild := isUniversal(sigs)
-		pd.isWild = append(pd.isWild, wild)
-		if wild {
-			pd.wildcards = append(pd.wildcards, ri)
-			pd.sigs = append(pd.sigs, nil)
-			continue
-		}
-		pd.sigs = append(pd.sigs, sigs)
-		for _, id := range sigs {
-			l := pd.list(id)
-			*l = append(*l, ri)
-		}
+	pd := &ix.perPred[probe]
+	matched := make([]int, 0, probeCost)
+	for _, id := range ctx.Signatures(ix.Rule.Predicates[probe], rec) {
+		matched = append(matched, pd.posting(id)...)
 	}
-	ix.cover(&ix.added)
-	ix.fix(&ix.added, ri)
-
-	var out []Candidate
-	for _, other := range matched {
-		if shared, ok := ix.shared(&ix.added, other); ok {
-			out = append(out, Candidate{I: other, J: ri, Shared: shared})
-		}
-	}
-	return out
+	matched = append(matched, pd.wildcards...)
+	slices.Sort(matched)
+	return slices.Compact(matched)
 }

@@ -37,13 +37,18 @@ func pairKey(i, j int) uint64 {
 // predicate (fewest expected pairs) and filters them against the remaining
 // predicates by intersecting the two records' signature sets directly, so a
 // rule with one selective predicate stays fast even when another predicate's
-// inverted lists are long.
+// inverted lists are long. When the cheapest predicate is a similar-side
+// edit predicate, its pairs come from a segment index (segIndex) instead of
+// its q-gram posting lists; its gram prefixes still filter and count the
+// pairs, so the candidates are the pairs that share a segment and pass
+// every predicate's signature filter.
 type PosIndex struct {
 	// Rule is the positive rule the index serves.
 	Rule rules.Rule
 
 	n         int
 	perPred   []predIndex
+	seg       *segIndex  // the base predicate's segment index; nil if none
 	sigCounts []int      // total signatures per record across predicates
 	added     sharedWith // Add's marks: each added record against its partners
 }
@@ -58,15 +63,21 @@ type predIndex struct {
 	sigs      [][]int32 // per record: its signature ids
 	wildcards []int     // records whose signature set is Universal
 	isWild    []bool
-	pairEst   int // Σ len(list)² + wildcards·n — enumeration cost estimate
+	pairEst   int  // Σ len(list)² + wildcards·n — enumeration cost estimate
+	unlisted  bool // no posting lists: the segment index enumerates its pairs
+}
+
+// reserve grows the id table to hold signature id.
+func (pd *predIndex) reserve(id int32) {
+	if int(id) >= len(pd.slot) {
+		pd.slot = append(pd.slot, make([]int32, int(id)+1-len(pd.slot))...)
+	}
 }
 
 // list returns the posting list of signature id, creating it (in
 // first-seen order) when absent.
 func (pd *predIndex) list(id int32) *[]int {
-	if int(id) >= len(pd.slot) {
-		pd.slot = append(pd.slot, make([]int32, int(id)+1-len(pd.slot))...)
-	}
+	pd.reserve(id)
 	if pd.slot[id] == 0 {
 		pd.lists = append(pd.lists, nil)
 		pd.slot[id] = int32(len(pd.lists))
@@ -99,12 +110,6 @@ func BuildPositive(ctx *Context, rule rules.Rule, recs []*rules.Record) *PosInde
 		pd.isWild = make([]bool, len(recs))
 		sg := ctx.signer(p)
 		maxID := Universal
-		for _, r := range recs {
-			for _, id := range sg.of(r) {
-				maxID = max(maxID, id)
-			}
-		}
-		pd.slot = make([]int32, maxID+1)
 		for ri, r := range recs {
 			sigs := sg.of(r)
 			ix.sigCounts[ri] += len(sigs)
@@ -114,17 +119,58 @@ func BuildPositive(ctx *Context, rule rules.Rule, recs []*rules.Record) *PosInde
 				continue
 			}
 			for _, id := range sigs {
-				l := pd.list(id)
-				*l = append(*l, ri)
+				maxID = max(maxID, id)
 			}
 			pd.sigs[ri] = sigs
 		}
-		for _, list := range pd.lists {
-			pd.pairEst += len(list) * (len(list) - 1) / 2
+		// The id table first counts each id's records: the posting-list
+		// lengths the pair estimate needs, before any list exists.
+		pd.slot = make([]int32, maxID+1)
+		for _, sigs := range pd.sigs {
+			for _, id := range sigs {
+				pd.slot[id]++
+			}
+		}
+		for id, c := range pd.slot {
+			pd.pairEst += int(c) * int(c-1) / 2
+			pd.slot[id] = 0
 		}
 		pd.pairEst += len(pd.wildcards) * len(recs)
 	}
+	ix.indexSegments(recs)
+	for pi := range ix.perPred {
+		pd := &ix.perPred[pi]
+		if pd.unlisted {
+			continue
+		}
+		for ri, sigs := range pd.sigs {
+			for _, id := range sigs {
+				l := pd.list(id)
+				*l = append(*l, ri)
+			}
+		}
+	}
 	return ix
+}
+
+// indexSegments builds the segment index when the base predicate is a
+// similar-side edit predicate; that predicate then keeps no posting lists.
+// The base is fixed here: Add keeps the segment index current, so it
+// serves every later ForEach and Add.
+func (ix *PosIndex) indexSegments(recs []*rules.Record) {
+	if len(ix.perPred) == 0 {
+		return
+	}
+	base := ix.base()
+	p := ix.Rule.Predicates[base]
+	if !similarSide(p) || (p.Fn != rules.EditSim && p.Fn != rules.EditDist) {
+		return
+	}
+	ix.perPred[base].unlisted = true
+	ix.seg = &segIndex{p: p}
+	for ri, r := range recs {
+		ix.seg.add(ri, r)
+	}
 }
 
 // SigCount returns the total signature count of record i across the rule's
@@ -255,13 +301,25 @@ func (s *pairSet) add(i, j int) bool {
 	return true
 }
 
-// ForEach streams the candidate pairs of the rule in a deterministic order
-// (base-predicate posting lists in first-seen order, then list position),
+// ForEach streams the candidate pairs of the rule in a deterministic order,
 // calling fn once per unique pair. Pairs not visited cannot satisfy the
-// rule. The Shared count sums shared signatures across all predicates. A
-// pair met again on a later shared list is dropped before it is counted.
+// rule. The Shared count sums shared signatures across all predicates.
+//
+// With a segment index, records are taken in index order and each streams
+// its pairs with the records before it, by ascending partner — the order
+// Add returns them in. Otherwise the order is the base predicate's posting
+// lists in first-seen order, then list position, and a pair met again on a
+// later shared list is dropped before it is counted.
 func (ix *PosIndex) ForEach(fn func(Candidate)) {
 	if len(ix.perPred) == 0 || ix.n < 2 {
+		return
+	}
+	if ix.seg != nil {
+		var sw sharedWith
+		ix.cover(&sw)
+		for i := 1; i < ix.n; i++ {
+			ix.segCandidates(&sw, i, fn)
+		}
 		return
 	}
 	bp := &ix.perPred[ix.base()]
@@ -294,6 +352,25 @@ func (ix *PosIndex) ForEach(fn func(Candidate)) {
 				c.I, c.J, c.Shared = min(w, o), max(w, o), shared
 				fn(c)
 			}
+		}
+	}
+}
+
+// segCandidates streams the candidates record i forms with the records
+// before it, by ascending partner: the segment index's partners that pass
+// every predicate's signature filter.
+func (ix *PosIndex) segCandidates(sw *sharedWith, i int, fn func(Candidate)) {
+	found := ix.seg.partners(i)
+	if len(found) == 0 {
+		return
+	}
+	ix.fix(sw, i)
+	var c Candidate
+	c.J = i
+	for _, j := range found {
+		if shared, ok := ix.shared(sw, j); ok {
+			c.I, c.Shared = j, shared
+			fn(c)
 		}
 	}
 }
