@@ -144,9 +144,11 @@ func BenchmarkExp5DBGen(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("DIMEPlus/n=%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DIMEPlus(g, core.Options{Config: cfg, Rules: rs}); err != nil {
+				res, err := core.DIMEPlus(g, core.Options{Config: cfg, Rules: rs})
+				if err != nil {
 					b.Fatal(err)
 				}
+				b.ReportMetric(float64(res.Stats.PositivePairsConsidered), "candidates/op")
 			}
 		})
 	}
@@ -154,9 +156,11 @@ func BenchmarkExp5DBGen(b *testing.B) {
 		g := datagen.DBGen(datagen.DBGenOptions{NumEntities: 20000, ErrorRate: 0.10, Seed: 17})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DIMEPlus(g, core.Options{Config: cfg, Rules: rs}); err != nil {
+			res, err := core.DIMEPlus(g, core.Options{Config: cfg, Rules: rs})
+			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(res.Stats.PositivePairsConsidered), "candidates/op")
 		}
 	})
 }
@@ -176,7 +180,9 @@ func scholarBenchGroup() (*datagen.ScholarOptions, *core.Options) {
 // uninstrumented build); the flight-recorder variant records the full span
 // tree of every run, the always-on production configuration
 // (scripts/bench.sh gates it within 5% ns/op of nil-probe via
-// cmd/benchjson's overhead check).
+// cmd/benchjson's overhead check). Both take their intra-group worker count
+// from GOMAXPROCS; the sequential variant pins IntraWorkers to 1, so its
+// numbers compare across machines with different core counts.
 func BenchmarkDIMEPlus(b *testing.B) {
 	gopts, opts := scholarBenchGroup()
 	g := datagen.Scholar(*gopts)
@@ -200,17 +206,28 @@ func BenchmarkDIMEPlus(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.PositiveVerified), "verifications/op")
 		}
 	})
+	b.Run("sequential", func(b *testing.B) {
+		o := *opts
+		o.IntraWorkers = 1
+		for i := 0; i < b.N; i++ {
+			res, err := core.DIMEPlus(g, o)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(res.Stats.PositiveVerified), "verifications/op")
+		}
+	})
 }
 
 // BenchmarkDIMEPlusParallel measures the intra-group worker path on a
-// 3000-entity DBGen group (102,192 positive verifications per run). The
-// sequential variant pins IntraWorkers=1 (the historical path, and the
-// baseline any refactor must not regress); the parallel variant takes the
-// GOMAXPROCS default. Since eds(Name) is verified by the threshold-banded,
-// allocation-free kernel, a pair costs a few hundred nanoseconds, and on a
-// 2-core Xeon the two variants measure the same (about 105 ms/op each):
-// the speculative chunks pay off only with more cores or costlier
-// predicates. The speedup is hardware-dependent — on a single-core machine
+// 3000-entity DBGen group (36,961 candidates and 14,962 positive
+// verifications per run). The sequential variant pins IntraWorkers=1 (the
+// historical path, and the baseline any refactor must not regress); the
+// parallel variant takes the GOMAXPROCS default. Since eds(Name) is
+// verified by the threshold-banded, allocation-free kernel, a pair costs a
+// few hundred nanoseconds, and on a 2-core Xeon the two variants measure
+// about the same (about 40 ms/op each): the speculative chunks pay off only
+// with more cores or costlier predicates. The speedup is hardware-dependent — on a single-core machine
 // the two variants collapse to the same work — and results are
 // byte-identical either way, which the differential harness enforces.
 func BenchmarkDIMEPlusParallel(b *testing.B) {
@@ -231,6 +248,7 @@ func BenchmarkDIMEPlusParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				b.ReportMetric(float64(res.Stats.PositivePairsConsidered), "candidates/op")
 				b.ReportMetric(float64(res.Stats.PositiveVerified), "verifications/op")
 			}
 		})

@@ -6,8 +6,10 @@
 # one core), the BenchmarkEditPredicate edit-similarity verdicts of
 # internal/sim (0 allocs/op on short strings), the BenchmarkSignatureGeneration
 # filter-step layers (signature context over a Scholar page and a 4000-record
-# DBGen group, positive index build, candidate enumeration), plus a one-shot
-# smoke of two experiment benches, all with -benchmem. The combined output is converted
+# DBGen group, positive index build, candidate enumeration), a one-shot
+# smoke of two experiment benches, and one run of DIME+ on a 20000-entity
+# DBGen group (BenchmarkExp5DBGen/DIMEPlus/n=20000, with candidates/op, the
+# step-1 scale row), all with -benchmem. The combined output is converted
 # by cmd/benchjson into BENCH_core.json, the checked-in performance snapshot
 # that lets perf regressions show up in review, and appended as one
 # timestamped JSON line to BENCH_history.jsonl, the multi-run log
@@ -74,6 +76,9 @@ go test -run='^$' -bench='^BenchmarkSignatureGeneration$' -benchmem . | tee -a "
 
 echo "== experiment smoke (-benchtime=1x)"
 go test -run='^$' -bench='^BenchmarkExp(1Fig6|4TableI)$' -benchmem -benchtime=1x . | tee -a "$tmp"
+
+echo "== large DBGen group (-benchtime=1x)"
+go test -run='^$' -bench='^BenchmarkExp5DBGen$/^DIMEPlus$/^n=20000$' -benchmem -benchtime=1x . | tee -a "$tmp"
 
 go run ./cmd/benchjson -o "${BENCH_OUT}" ${extra_args[@]+"${extra_args[@]}"} <"$tmp"
 echo "bench: wrote ${BENCH_OUT}"
